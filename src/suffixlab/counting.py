@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
@@ -179,7 +180,10 @@ def growth_histogram(
 
     The sigma^n strings are enumerated exhaustively, split into `workers`
     contiguous lexicographic ranges. The merged result is identical for
-    any worker count because the ranges partition the string space.
+    any worker count because the ranges partition the string space, so
+    `workers` is capped at the CPUs this process may run on: a process
+    pool starts all its workers at once, and workers beyond the CPUs add
+    only start-up cost.
     """
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
@@ -188,7 +192,7 @@ def growth_histogram(
     total = sigma**n
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    workers = max(1, min(workers, total))
+    workers = max(1, min(workers, total, len(os.sched_getaffinity(0))))
     bounds = [total * w // workers for w in range(workers + 1)]
     ranges = [(bounds[w], bounds[w + 1]) for w in range(workers)]
     if workers == 1:

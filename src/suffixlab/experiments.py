@@ -346,19 +346,24 @@ def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
 
 
 def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> Fraction:
-    """Exact mean node count of the simple tree over all sigma^n strings."""
+    """Exact mean node count of the simple tree over all sigma^n strings,
+    each counted by simple_tree_size without building the tree."""
     required = sigma**n
     if required > budget:
         raise counting.EnumerationBudgetError(required, budget)
     alphabet = Alphabet(sigma)
     total = 0
     for symbols in itertools.product(range(1, sigma + 1), repeat=n):
-        total += trees.build_suffix_tree(Str(symbols, alphabet)).node_count
+        total += trees.simple_tree_size(Str(symbols, alphabet))
     return Fraction(total, required)
 
 
 def expected_size(config: ExperimentConfig) -> list[SizeRow]:
-    """Mean simple-tree node count for each n in n_list, with mean/n^2."""
+    """Mean simple-tree node count for each n in n_list, with mean/n^2.
+
+    Every sample is counted by simple_tree_size in O(n), so no quadratic
+    tree is built; the counts equal build_suffix_tree(s).node_count exactly.
+    """
     config.validate()
     n_list = config.n_list or ((config.n,) if config.n else ())
     if not n_list:
@@ -386,7 +391,7 @@ def expected_size(config: ExperimentConfig) -> list[SizeRow]:
         vals = []
         for _ in range(config.samples):
             s = random_string(n, config.sigma, rng)
-            vals.append(trees.build_suffix_tree(s).node_count)
+            vals.append(trees.simple_tree_size(s))
         mean, stderr = _mean_stderr(vals)
         rows.append(
             SizeRow(

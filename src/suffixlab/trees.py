@@ -6,6 +6,12 @@ case. The compact tree is obtained from it by collapsing every maximal
 unary chain into a single edge whose label is a span into the source
 string, so it never copies text and has at most 2n nodes.
 
+The simple tree's node count is also known without building it: one
+root, one internal node per distinct nonempty substring, and n leaves.
+simple_tree_size counts it in linear time with a suffix automaton, and
+the sampling experiments use it; the tree itself remains the object under
+study and the oracle the count is checked against.
+
 The growth of a string is the number of new internal nodes the full
 string contributes when it is inserted last, which equals n minus the
 longest common prefix of the string with any of its proper suffixes.
@@ -75,6 +81,51 @@ class SuffixTree:
 
     def sorted_children(self, node: int) -> list[tuple[int, int]]:
         return sorted(self.children[node].items(), key=lambda it: _child_order(it[0]))
+
+
+def simple_tree_size(s: Str) -> int:
+    """Node count of the simple suffix tree of s, without building it.
+
+    The simple tree has a root, one internal node per distinct nonempty
+    substring of s, and n leaves. The distinct substrings are counted with
+    an online suffix automaton (Blumer et al., 1985) in O(n) states: each
+    appended symbol adds len[cur] - len[link[cur]] new substrings, and a
+    cloned state only splits an existing class, so it adds none.
+    """
+    n = len(s)
+    if n < 1:
+        raise ValueError("cannot build a suffix tree for the empty string")
+    nxt: list[dict[int, int]] = [{}]
+    link = [-1]
+    length = [0]
+    last = 0
+    distinct = 0
+    for c in s.symbols:
+        cur = len(length)
+        nxt.append({})
+        length.append(length[last] + 1)
+        link.append(0)
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                nxt.append(nxt[q].copy())
+                length.append(length[p] + 1)
+                link.append(link[q])
+                while p != -1 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        distinct += length[cur] - length[link[cur]]
+        last = cur
+    return distinct + n + 1
 
 
 def build_suffix_tree(s: Str) -> SuffixTree:
@@ -243,10 +294,13 @@ def growth_via_lcp(s: Str) -> int:
     Returns n minus the longest common prefix of s with any of its proper
     suffixes (0 when there is none, so a single symbol has growth 1).
     """
-    n = len(s)
-    if n < 1:
+    if len(s) < 1:
         raise ValueError("growth of the empty string is undefined")
-    syms = s.symbols
+    return _growth_of_symbols(s.symbols)
+
+
+def _growth_of_symbols(syms: tuple[int, ...]) -> int:
+    n = len(syms)
     best = 0
     for j in range(1, n):
         if n - j <= best:
@@ -284,23 +338,32 @@ def growth_via_tree(s: Str) -> int:
 class GrowthSumIdentity(NamedTuple):
     node_count: int
     growth_sum_form: int
+    substring_form: int
     equal: bool
 
 
 def growth_sum_identity(s: Str) -> GrowthSumIdentity:
-    """Compare the simple tree's node count with the growth-sum form.
+    """Compare the simple tree's node count with two forms that build no tree.
 
-    The right-hand side is the sum of the growths of the suffixes
-    s[m..n] for m = 1..n-1, plus 2 (the root and the single node on the
-    path to leaf n) plus n leaves. The growths are computed by scanning,
-    independent of the tree being counted.
+    The growth-sum form is the sum of the growths of the suffixes s[m..n]
+    for m = 1..n-1, plus 2 (the root and the single node on the path to
+    leaf n) plus n leaves, with the growths computed by scanning. The
+    substring form is simple_tree_size(s): distinct substrings + n + 1,
+    counted by a suffix automaton. All three must agree.
     """
     n = len(s)
     if n < 2:
         raise ValueError("the identity needs a string of length at least 2")
-    lhs = build_suffix_tree(s).node_count
-    rhs = sum(growth_via_lcp(s.sub(m, n)) for m in range(1, n)) + 2 + n
-    return GrowthSumIdentity(node_count=lhs, growth_sum_form=rhs, equal=lhs == rhs)
+    nodes = build_suffix_tree(s).node_count
+    syms = s.symbols
+    growth_sum = sum(_growth_of_symbols(syms[m:]) for m in range(n - 1)) + 2 + n
+    substrings = simple_tree_size(s)
+    return GrowthSumIdentity(
+        node_count=nodes,
+        growth_sum_form=growth_sum,
+        substring_form=substrings,
+        equal=nodes == growth_sum == substrings,
+    )
 
 
 # ---------------------------------------------------------------------------

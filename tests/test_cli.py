@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from suffixlab import cli
@@ -147,3 +149,21 @@ def test_expect_size_json(capsys):
     )
     assert code == 0
     assert '"mean_exact"' in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+MC_SIZE = ["expect-size", "--sigma", "2", "--n-list", "64,128,256", "--samples", "200", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (MC_SIZE, "expect_size_seed1.csv"),
+        (MC_SIZE + ["--format", "json"], "expect_size_seed1.json"),
+        (["expect-size", "--mode", "exhaustive", "--sigma", "2", "--n-list", "1,2,4,8"], "expect_size_exhaustive.csv"),
+    ],
+)
+def test_expect_size_output_matches_golden_bytes(args, golden, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

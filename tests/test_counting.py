@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from suffixlab import counting
@@ -144,6 +146,30 @@ def test_growth_histogram_worker_invariance():
     base = growth_histogram(8, 2, workers=1)
     assert growth_histogram(8, 2, workers=2) == base
     assert growth_histogram(8, 2, workers=3) == base
+
+
+def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch):
+    pool_sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    assert growth_histogram(8, 2, workers=3) == growth_histogram(8, 2, workers=1)
+    assert pool_sizes == [2]
 
 
 def test_check_growth_bound_report():

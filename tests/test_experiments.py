@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from suffixlab import counting
+from suffixlab import counting, trees
 from suffixlab.experiments import (
     ExpectationRow,
     ExperimentConfig,
@@ -128,6 +128,18 @@ def test_expected_size_montecarlo_rows():
     for row in rows:
         assert row.mean > row.n  # more nodes than leaves
         assert row.mean_over_n2 == row.mean / row.n**2
+
+
+@pytest.mark.parametrize("mode", ["montecarlo", "exhaustive"])
+def test_expected_size_builds_no_tree(mode, monkeypatch):
+    config = ExperimentConfig(sigma=2, n_list=(4, 6), samples=30, seed=5, mode=mode)
+    expected = expected_size(config)
+
+    def no_tree(s):
+        raise AssertionError("expected_size must not build the simple tree")
+
+    monkeypatch.setattr(trees, "build_suffix_tree", no_tree)
+    assert expected_size(config) == expected
 
 
 def test_expected_size_requires_ascending_lengths():

@@ -12,6 +12,7 @@ from suffixlab.trees import (
     growth_via_lcp,
     growth_via_tree,
     scan_occurrences,
+    simple_tree_size,
     stats_line,
     to_dot,
 )
@@ -87,6 +88,35 @@ def test_leaf_paths_spell_suffixes(data):
 
 
 # ---------------------------------------------------------------------------
+# node count without the tree
+# ---------------------------------------------------------------------------
+
+
+def test_simple_tree_size_of_reference_string():
+    assert simple_tree_size(from_text("aabccb")) == 25
+
+
+def test_simple_tree_size_rejects_empty_string():
+    with pytest.raises(ValueError):
+        simple_tree_size(from_text("", 2))
+
+
+@pytest.mark.parametrize("sigma,n_max", [(2, 10), (3, 7), (4, 5)])
+def test_simple_tree_size_matches_tree_exhaustively(sigma, n_max):
+    for n in range(1, n_max + 1):
+        for s in all_strings(n, sigma):
+            assert simple_tree_size(s) == build_suffix_tree(s).node_count, str(s)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_simple_tree_size_matches_tree_random(data):
+    sigma = data.draw(st.integers(2, 5))
+    s = random_str(data.draw, sigma, 300)
+    assert simple_tree_size(s) == build_suffix_tree(s).node_count
+
+
+# ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
 
@@ -135,6 +165,7 @@ def test_growth_sum_identity_examples(text, nodes):
     result = growth_sum_identity(from_text(text))
     assert result.node_count == nodes
     assert result.growth_sum_form == nodes
+    assert result.substring_form == nodes
     assert result.equal
 
 
