@@ -1,9 +1,11 @@
 """Exact counting of aperiodic strings and of strings by growth.
 
 Everything here is integer arithmetic on Python ints, so the counts and
-the inequalities between them are exact at any size. The only approximate
-thing in this module is runtime: the growth histograms are computed by
-exhaustive enumeration, guarded by an explicit budget.
+the inequalities between them are exact at any size. Growth counts come
+by two independent routes: growth_histogram enumerates every string, and
+growth_counts sums over prefix autocorrelation classes without
+enumerating any. Both refuse sizes above an explicit budget before
+doing any work.
 """
 
 from __future__ import annotations
@@ -215,7 +217,119 @@ def count_with_growth(n: int, k: int, sigma: int, budget: int = DEFAULT_BUDGET) 
     """Number of length-n strings over sigma symbols with growth exactly k."""
     if not 1 <= k <= n:
         raise ValueError(f"growth {k} out of range 1..{n}")
-    return growth_histogram(n, sigma, budget=budget)[k]
+    return growth_counts(n, sigma, budget=budget)[k]
+
+
+# ---------------------------------------------------------------------------
+# Growth counts by autocorrelation classes
+# ---------------------------------------------------------------------------
+
+
+def _class_counts(length: int, r_max: int) -> list[int]:
+    """comp(length, T) for every set T of periods drawn from 1..r_max.
+
+    T is a bitmask with bit p-1 standing for period p; comp counts the
+    classes of positions 0..length-1 under i ~ i+p for p in T, so exactly
+    sigma^comp strings of that length have every period in T. Each set
+    extends the set without its largest period by one union-find pass;
+    a class's root is its smallest position, so the stored labels are
+    already a flat forest.
+    """
+    labels = [list(range(length))]
+    comps = [length]
+    for mask in range(1, 1 << r_max):
+        p = mask.bit_length()
+        base = mask ^ (1 << (p - 1))
+        par = labels[base][:]
+        comp = comps[base]
+        for i in range(length - p):
+            a = par[i]
+            while par[a] != a:
+                a = par[a]
+            b = par[i + p]
+            while par[b] != b:
+                b = par[b]
+            if a != b:
+                comp -= 1
+                if a < b:
+                    par[b] = a
+                else:
+                    par[a] = b
+        for i in range(length):
+            par[i] = par[par[i]]
+        labels.append(par)
+        comps.append(comp)
+    return comps
+
+
+def _prefix_unique_count(n: int, length: int, sigma: int) -> int:
+    """N(length): length-n strings whose prefix of that length occurs
+    nowhere else in them, for 1 <= length < n.
+
+    With r = n - length, Guibas and Odlyzko's generating function counts
+    the strings that start with w and contain w only there as
+    [z^r] 1 / (z^length [length <= r] + (1 - sigma z) c_w(z)), where
+    c_w(z) = 1 + sum of z^p over the periods p of w. Periods above
+    r_max = min(r, length - 1) cannot reach z^r, so w only matters through
+    its period set within 1..r_max. The number of w with each exact set
+    follows from the counts sigma^comp of _class_counts by a superset
+    Moebius transform.
+    """
+    r = n - length
+    r_max = min(r, length - 1)
+    size = 1 << r_max
+    pop = [sigma**c for c in _class_counts(length, r_max)]
+    for b in range(r_max):
+        bit = 1 << b
+        for mask in range(size):
+            if not mask & bit:
+                pop[mask] -= pop[mask | bit]
+    total = 0
+    for mask, count in enumerate(pop):
+        if not count:
+            continue
+        # denominator d(z) up to z^r, then 1/d(z) by the usual recurrence
+        periods = [p for p in range(1, r_max + 1) if mask >> (p - 1) & 1]
+        d = [0] * (r + 1)
+        for p in (0, *periods):
+            d[p] += 1
+            if p < r:
+                d[p + 1] -= sigma
+        if length <= r:
+            d[length] += 1
+        terms = [(i, c) for i, c in enumerate(d) if i and c]
+        inv = [1] + [0] * r
+        for m in range(1, r + 1):
+            inv[m] = -sum(c * inv[m - i] for i, c in terms if i <= m)
+        total += count * inv[r]
+    return total
+
+
+def growth_counts(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+    """Exact counts {k: number of length-n strings with growth k} for k = 1..n,
+    equal to growth_histogram(n, sigma) but found without enumerating strings.
+
+    A string has growth at least k exactly when its prefix of length
+    n - k + 1 occurs nowhere else in it, so count(k) = N(n-k+1) - N(n-k)
+    with N(n) = sigma^n, N(0) = 0 and the other N from
+    _prefix_unique_count. Each prefix length visits at most 2^((n-1)/2)
+    period sets, (n-1) * 2^((n-1)/2) in all, which for sigma >= 2 is below
+    sigma^n; so the enumeration budget, checked as for growth_histogram,
+    bounds this work too.
+    """
+    if n < 1:
+        raise ValueError(f"length must be at least 1, got {n}")
+    if sigma < 1:
+        raise ValueError(f"alphabet size must be at least 1, got {sigma}")
+    total = sigma**n
+    if total > budget:
+        raise EnumerationBudgetError(total, budget)
+    if sigma == 1:
+        # a^n is the only string; it shares n-1 symbols with its suffix
+        # from position 2, so its growth is 1
+        return {k: int(k == 1) for k in range(1, n + 1)}
+    unique = [0] + [_prefix_unique_count(n, m, sigma) for m in range(1, n)] + [total]
+    return {k: unique[n - k + 1] - unique[n - k] for k in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +354,7 @@ class GrowthBoundReport:
     sigma: int
     rows: list[GrowthBoundRow] = field(default_factory=list)
     partition_failures: list[int] = field(default_factory=list)
+    route_failures: list[int] = field(default_factory=list)
 
     @property
     def violations(self) -> list[GrowthBoundRow]:
@@ -247,7 +362,7 @@ class GrowthBoundReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.partition_failures
+        return not self.violations and not self.partition_failures and not self.route_failures
 
 
 def check_growth_bound(
@@ -262,7 +377,8 @@ def check_growth_bound(
     For every k <= k_max and every n with 2k <= n <= n_max the exhaustive
     count must not exceed the bound. Also checks, for every enumerated n,
     that the histogram sums to sigma^n (the growth values partition all
-    strings).
+    strings) and that growth_counts, which enumerates nothing, returns the
+    same histogram.
     """
     report = GrowthBoundReport(sigma=sigma)
     bounds = {k: growth_bound(k, sigma) for k in range(1, k_max + 1)}
@@ -270,6 +386,8 @@ def check_growth_bound(
         hist = growth_histogram(n, sigma, budget=budget, workers=workers)
         if sum(hist.values()) != sigma**n:
             report.partition_failures.append(n)
+        if growth_counts(n, sigma, budget=budget) != hist:
+            report.route_failures.append(n)
         for k in range(1, min(k_max, n // 2) + 1):
             report.rows.append(GrowthBoundRow(n=n, k=k, count=hist[k], bound=bounds[k]))
     return report

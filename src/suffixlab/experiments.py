@@ -240,14 +240,17 @@ def rows_from_json(row_type, text: str):
 
 
 def growth_count_table(config: ExperimentConfig) -> list[GrowthCountRow]:
-    """Exhaustive growth counts for every k = 1..n, next to their bounds."""
+    """Exact growth counts for every k = 1..n, next to their bounds.
+
+    The counts come from counting.growth_counts, which enumerates no
+    strings, so config.workers plays no part; config.budget still refuses
+    sigma^n above it.
+    """
     config.validate()
     if config.n is None:
         raise ValueError("growth-count table needs n")
     n = config.n
-    hist = counting.growth_histogram(
-        n, config.sigma, budget=config.budget, workers=config.workers
-    )
+    hist = counting.growth_counts(n, config.sigma, budget=config.budget)
     rows = []
     for k in range(1, n + 1):
         bound = counting.growth_bound(k, config.sigma)
@@ -274,7 +277,7 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 def exact_expected_growth(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> Fraction:
     """Exact mean growth over all sigma^n strings."""
-    hist = counting.growth_histogram(n, sigma, budget=budget)
+    hist = counting.growth_counts(n, sigma, budget=budget)
     total = sum(k * c for k, c in hist.items())
     return Fraction(total, sigma**n)
 
@@ -346,16 +349,25 @@ def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
 
 
 def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> Fraction:
-    """Exact mean node count of the simple tree over all sigma^n strings,
-    each counted by simple_tree_size without building the tree."""
+    """Exact mean node count of the simple tree over all sigma^n strings.
+
+    By the growth-sum identity (trees.growth_sum_identity), the simple tree
+    of s has n + 2 + sum over m = 1..n-1 of growth(s[m..n]) nodes. If s is
+    uniform over all sigma^n strings, its suffix s[m..n] of length
+    L = n - m + 1 is uniform over all sigma^L strings, so by linearity of
+    expectation
+        E[nodes(n)] = n + 2 + sum_{L=2..n} E[growth(L)],
+    and each E[growth(L)] is exact from exact_expected_growth. No string is
+    enumerated; sigma^n above the budget is still refused, and it bounds
+    every shorter L too.
+    """
     required = sigma**n
     if required > budget:
         raise counting.EnumerationBudgetError(required, budget)
-    alphabet = Alphabet(sigma)
-    total = 0
-    for symbols in itertools.product(range(1, sigma + 1), repeat=n):
-        total += trees.simple_tree_size(Str(symbols, alphabet))
-    return Fraction(total, required)
+    return n + 2 + sum(
+        (exact_expected_growth(length, sigma, budget=budget) for length in range(2, n + 1)),
+        Fraction(0),
+    )
 
 
 def expected_size(config: ExperimentConfig) -> list[SizeRow]:
@@ -543,14 +555,15 @@ def _check_growth_count_bound(budget: int, workers: int) -> CheckResult:
     ]
     bad = [row for rep in reports for row in rep.violations]
     partition_bad = [(rep.sigma, n) for rep in reports for n in rep.partition_failures]
-    ok = not bad and not partition_bad
+    route_bad = [(rep.sigma, n) for rep in reports for n in rep.route_failures]
+    ok = not bad and not partition_bad and not route_bad
     checked = sum(len(rep.rows) for rep in reports)
     return CheckResult(
         "growth-count-bound",
         ok,
-        f"count <= bound on {checked} (n, k) pairs and histograms sum to sigma^n"
+        f"count <= bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
         if ok
-        else f"violations: {bad[:4]} partition failures: {partition_bad}",
+        else f"violations: {bad[:4]} partition failures: {partition_bad} route failures: {route_bad}",
     )
 
 

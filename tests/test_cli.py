@@ -167,3 +167,18 @@ def test_expect_size_output_matches_golden_bytes(args, golden, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (["omega", "--sigma", "2", "--n", "16"], "omega_sigma2_n16.csv"),
+        (["omega", "--sigma", "2", "--n", "16", "--format", "json"], "omega_sigma2_n16.json"),
+        (["omega", "--sigma", "3", "--n", "9"], "omega_sigma3_n9.csv"),
+        (["expect-growth", "--mode", "exhaustive", "--sigma", "2", "--n", "12"], "expect_growth_exhaustive.csv"),
+    ],
+)
+def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

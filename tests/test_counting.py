@@ -2,7 +2,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from suffixlab import counting
+from suffixlab import cli, counting
 from suffixlab.counting import (
     CountTable,
     EnumerationBudgetError,
@@ -15,9 +15,11 @@ from suffixlab.counting import (
     growth_bound,
     growth_bound_prefix_sum,
     growth_bound_table,
+    growth_counts,
     growth_histogram,
     proper_divisors,
 )
+from suffixlab.experiments import ExperimentConfig, growth_count_table
 from suffixlab.strings import is_aperiodic
 
 from conftest import all_strings
@@ -172,6 +174,53 @@ def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch):
     assert pool_sizes == [2]
 
 
+@pytest.mark.parametrize("sigma,n_max", [(1, 6), (2, 14), (3, 9), (4, 7), (5, 5)])
+def test_growth_counts_equal_enumeration(sigma, n_max):
+    for n in range(1, n_max + 1):
+        assert growth_counts(n, sigma) == growth_histogram(n, sigma), (sigma, n)
+
+
+@pytest.mark.parametrize("n,sigma", [(0, 2), (-3, 2), (4, 0)])
+def test_growth_counts_rejects_what_enumeration_rejects(n, sigma):
+    with pytest.raises(ValueError) as enumerated:
+        growth_histogram(n, sigma)
+    with pytest.raises(ValueError) as counted:
+        growth_counts(n, sigma)
+    assert str(counted.value) == str(enumerated.value)
+
+
+def test_growth_counts_budget_error_reports_required():
+    with pytest.raises(EnumerationBudgetError) as err:
+        growth_counts(30, 2)
+    assert err.value.required == 2**30
+    assert err.value.budget == counting.DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize("sigma,n_max", [(2, 24), (3, 12)])
+def test_growth_counts_partition_and_top_count_beyond_enumeration(sigma, n_max):
+    for n in range(1, n_max + 1):
+        hist = growth_counts(n, sigma)
+        assert sorted(hist) == list(range(1, n + 1))
+        assert sum(hist.values()) == sigma**n
+        assert hist[n] == sigma * (sigma - 1) ** (n - 1)
+
+
+def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
+    config = ExperimentConfig(sigma=2, n=12)
+    rows = growth_count_table(config)
+    assert cli.main(["omega", "--sigma", "2", "--n", "12"]) == 0
+    printed = capsys.readouterr().out
+    assert [row.count for row in rows] == [growth_histogram(12, 2)[k] for k in range(1, 13)]
+
+    def no_enumeration(digits, n):
+        raise AssertionError("omega must not enumerate strings")
+
+    monkeypatch.setattr(counting, "growth_of_digits", no_enumeration)
+    assert growth_count_table(config) == rows
+    assert cli.main(["omega", "--sigma", "2", "--n", "12"]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_check_growth_bound_report():
     report = check_growth_bound(2, k_max=4, n_max=10)
     assert report.ok
@@ -179,6 +228,23 @@ def test_check_growth_bound_report():
     # rows exist exactly for 2k <= n
     assert all(row.n >= 2 * row.k for row in report.rows)
     assert any(row.count == row.bound for row in report.rows)  # k=1 is tight
+    assert not report.route_failures
+
+
+def test_check_growth_bound_reports_a_counting_route_that_disagrees(monkeypatch):
+    real = counting.growth_counts
+
+    def off_by_one_at_7(n, sigma, budget=counting.DEFAULT_BUDGET):
+        hist = real(n, sigma, budget=budget)
+        if n == 7:
+            hist[1] += 1
+        return hist
+
+    monkeypatch.setattr(counting, "growth_counts", off_by_one_at_7)
+    report = check_growth_bound(2, k_max=3, n_max=9)
+    assert report.route_failures == [7]
+    assert not report.partition_failures and not report.violations
+    assert not report.ok
 
 
 def test_reference_table_mismatches_are_all_documented():

@@ -23,6 +23,8 @@ from suffixlab.experiments import (
     run_verification,
 )
 
+from conftest import all_strings
+
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -66,6 +68,14 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_exact_expected_growth_equals_enumerated_mean():
+    for sigma, n_max in ((2, 12), (3, 7)):
+        for n in range(1, n_max + 1):
+            hist = counting.growth_histogram(n, sigma)
+            expected = Fraction(sum(k * c for k, c in hist.items()), sigma**n)
+            assert exact_expected_growth(n, sigma) == expected, (sigma, n)
+
+
 def test_exact_expected_growth_tiny():
     # the four binary strings of length 2 have growths 1, 2, 2, 1
     assert exact_expected_growth(2, 2) == Fraction(3, 2)
@@ -106,6 +116,24 @@ def test_expected_growth_single_symbol_string():
 # ---------------------------------------------------------------------------
 # expected size
 # ---------------------------------------------------------------------------
+
+
+def expected_size_by_enumeration(n, sigma):
+    """Oracle: the mean of simple_tree_size over every length-n string."""
+    total = sum(trees.simple_tree_size(s) for s in all_strings(n, sigma))
+    return Fraction(total, sigma**n)
+
+
+@pytest.mark.parametrize("sigma,n_max", [(2, 12), (3, 7)])
+def test_exact_expected_size_equals_per_string_sum(sigma, n_max):
+    for n in range(1, n_max + 1):
+        assert exact_expected_size(n, sigma) == expected_size_by_enumeration(n, sigma), (sigma, n)
+
+
+def test_exact_expected_size_budget_error():
+    with pytest.raises(counting.EnumerationBudgetError) as err:
+        exact_expected_size(30, 2)
+    assert err.value.required == 2**30
 
 
 def test_exact_expected_size_tiny():
@@ -225,3 +253,19 @@ def test_verification_detects_a_tampered_bound(monkeypatch):
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
     assert "growth-count-bound" in failed
+
+
+def test_verification_detects_a_wrong_counting_route(monkeypatch):
+    real = counting.growth_counts
+
+    def shifted(n, sigma, budget=counting.DEFAULT_BUDGET):
+        hist = real(n, sigma, budget=budget)
+        hist[n] -= 1
+        hist[1] += 1
+        return hist
+
+    monkeypatch.setattr(counting, "growth_counts", shifted)
+    report = run_verification()
+    failed = [c for c in report.checks if not c.ok]
+    assert [c.name for c in failed] == ["growth-count-bound"]
+    assert "route failures: [(2, 2)" in failed[0].detail
