@@ -10,15 +10,19 @@ doing any work.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
+import numpy as np
+
 #: Largest number of strings an enumeration is allowed to touch by default.
 DEFAULT_BUDGET = 1 << 24
+
+#: Strings tested per numpy block by count_aperiodic_bruteforce.
+_BRUTEFORCE_BLOCK = 1 << 12
 
 
 class EnumerationBudgetError(ValueError):
@@ -82,25 +86,28 @@ def count_aperiodic_bruteforce(j: int, sigma: int, budget: int = DEFAULT_BUDGET)
     """Count aperiodic strings by enumerating all sigma^j of them.
 
     Independent of the recurrence: each string is tested directly against
-    the period definition (some proper divisor d of j with s[i] == s[i+d]
-    for all i). Exists to cross-check count_aperiodic.
+    the period definition. The strings are the integers x in
+    range(sigma^j), read as j base-sigma digits, and x has period d (a
+    proper divisor of j) exactly when it repeats its low d digits:
+    x == (x mod sigma^d) * (1 + sigma^d + ... + sigma^(j-d)). The test runs
+    on numpy blocks of _BRUTEFORCE_BLOCK strings. Exists to cross-check
+    count_aperiodic.
     """
     if j < 1:
         raise ValueError(f"length must be at least 1, got {j}")
     required = sigma**j
     if required > budget:
         raise EnumerationBudgetError(required, budget)
-    divisors = proper_divisors(j)
+    periods = [
+        (sigma**d, sum(sigma ** (d * t) for t in range(j // d))) for d in proper_divisors(j)
+    ]
     count = 0
-    for s in itertools.product(range(sigma), repeat=j):
-        for d in divisors:
-            for i in range(j - d):
-                if s[i] != s[i + d]:
-                    break
-            else:
-                break  # periodic with period d
-        else:
-            count += 1
+    for start in range(0, required, _BRUTEFORCE_BLOCK):
+        x = np.arange(start, min(start + _BRUTEFORCE_BLOCK, required), dtype=np.int64)
+        periodic = np.zeros(len(x), dtype=bool)
+        for block, repunit in periods:
+            periodic |= x == x % block * repunit
+        count += len(x) - int(np.count_nonzero(periodic))
     return count
 
 

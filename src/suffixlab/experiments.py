@@ -589,16 +589,20 @@ def _check_figure_trees() -> CheckResult:
     naive = trees.build_suffix_tree(s)
     compact = trees.build_compact_tree(s)
     expected_labels = sorted(["c", "b", "a", "b$", "cb$", "ccb$", "$", "bccb$", "abccb$"])
+    same = compact.layout() == trees.compact_tree_via_simple(s).layout()
     ok = (
         naive.node_count == 25
         and naive.internal_count == 19
         and compact.node_count == 10
         and sorted(compact.edge_labels()) == expected_labels
+        and same
     )
     detail = (
-        "simple tree of aabccb has 25 nodes; compact tree has 10 nodes with the expected labels"
+        "simple tree of aabccb has 25 nodes; compact tree has 10 nodes with the expected labels "
+        "and equals the collapsed simple tree"
         if ok
-        else f"nodes {naive.node_count}/{compact.node_count}, labels {sorted(compact.edge_labels())}"
+        else f"nodes {naive.node_count}/{compact.node_count}, labels {sorted(compact.edge_labels())}, "
+        f"equals the collapsed simple tree: {same}"
     )
     return CheckResult("reference-trees", ok, detail)
 
@@ -618,19 +622,18 @@ def _check_tree_identities() -> CheckResult:
                     bad.append(("identity", str(s)))
                     continue
                 compact = trees.build_compact_tree(s)
+                if compact.layout() != trees.compact_tree_via_simple(s).layout():
+                    bad.append(("compact-oracle", str(s)))
                 if compact.node_count > 2 * n:
                     bad.append(("compact-size", str(s)))
-                if any(
-                    len(compact.children[v]) < 2
-                    for v in range(1, compact.node_count)
-                    if compact.children[v]
-                ):
+                if 1 in map(len, compact.children[1:]):  # a unary node below the root
                     bad.append(("compact-degree", str(s)))
     ok = not bad
     return CheckResult(
         "tree-identities",
         ok,
-        f"growth routes agree and node counts match the growth-sum form on {strings} strings"
+        f"growth routes agree, node counts match the growth-sum form and compact trees "
+        f"equal the collapsed simple tree on {strings} strings"
         if ok
         else f"failures: {bad[:4]}",
     )
@@ -640,11 +643,15 @@ def _check_search(seed: int) -> CheckResult:
     rng = new_rng(seed)
     bad = []
     pairs = 0
+    built = 0
     for sigma in (2, 4):
         for _ in range(20):
             n = int(rng.integers(2, 61))
             s = random_string(n, sigma, rng)
             tree = trees.build_compact_tree(s)
+            built += 1
+            if tree.layout() != trees.compact_tree_via_simple(s).layout():
+                bad.append((str(s), "compact-oracle"))
             for _ in range(10):
                 plen = int(rng.integers(1, min(n, 8) + 1))
                 if rng.integers(0, 2) == 0:
@@ -659,7 +666,10 @@ def _check_search(seed: int) -> CheckResult:
     return CheckResult(
         "search-vs-scan",
         ok,
-        f"tree search equals direct scan on {pairs} pairs" if ok else f"failures: {bad[:4]}",
+        f"tree search equals direct scan on {pairs} pairs and the {built} compact trees "
+        f"equal the collapsed simple tree"
+        if ok
+        else f"failures: {bad[:4]}",
     )
 
 

@@ -182,3 +182,38 @@ def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (["tree", "aabccb", "--compact", "--dot"], "tree_aabccb_compact.dot"),
+        (["tree", "abcdefabcdab", "--compact", "--dot"], "tree_abcdefabcdab_compact.dot"),
+        (["tree", "aabccb", "--dot"], "tree_aabccb.dot"),
+        (["tree", "aabccb", "--compact"], "tree_aabccb_compact.txt"),
+        (["tree", "abcdefabcdab", "--compact"], "tree_abcdefabcdab_compact.txt"),
+    ],
+)
+def test_tree_output_matches_golden_bytes(args, golden, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+SEARCH_TEXT = (
+    "daacbbabcbddcdcadcabadcdbccdaccdcbbbabaadcabbcdabbdbaabcbbcbdaddddccabbddccbbdabbcbb"
+    "abacbacbbccaacdcbcabbbcbdbacdcdbdaaddcdbcbbaadbdbabbcccbbccbadcddddcbaadbaabdbacabaab"
+    "adcdbccbccdbdaabdadccacacdddadc"
+)
+SEARCH_PATTERNS = ["a", "bb", "cdc", "dddd", "abcbddcdca", "daacbbabcbddcdcadcab", "aaaa", "dadc"]
+
+
+def test_search_output_matches_golden_bytes(capsys):
+    # one output line per pattern; "aaaa" does not occur, so its line is empty
+    assert len(SEARCH_TEXT) == 200
+    outputs = []
+    for pattern in SEARCH_PATTERNS:
+        code, out, _ = run_cli(["search", SEARCH_TEXT, pattern], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert "".join(outputs) == (GOLDEN / "search_sigma4_n200.txt").read_text()

@@ -101,14 +101,14 @@ def test_growth_bound_capped_by_k_sigma_k(sigma):
 
 
 def test_bruteforce_matches_recurrence_small():
-    for sigma, j_max in ((2, 12), (3, 8)):
+    for sigma, j_max in ((1, 6), (2, 12), (3, 8), (5, 5)):
         for j in range(1, j_max + 1):
             assert count_aperiodic_bruteforce(j, sigma) == count_aperiodic(j, sigma)
 
 
 def test_bruteforce_agrees_with_per_string_definition():
     # ties the enumeration loop to the Str-level periodicity test
-    for sigma, j_max in ((2, 8), (3, 5)):
+    for sigma, j_max in ((1, 5), (2, 8), (3, 5)):
         for j in range(1, j_max + 1):
             by_definition = sum(1 for s in all_strings(j, sigma) if is_aperiodic(s))
             assert count_aperiodic_bruteforce(j, sigma) == by_definition

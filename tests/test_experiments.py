@@ -269,3 +269,18 @@ def test_verification_detects_a_wrong_counting_route(monkeypatch):
     failed = [c for c in report.checks if not c.ok]
     assert [c.name for c in failed] == ["growth-count-bound"]
     assert "route failures: [(2, 2)" in failed[0].detail
+
+
+def test_verification_detects_a_wrong_compact_tree(monkeypatch):
+    real = trees.build_compact_tree
+
+    def shifted(s):
+        tree = real(s)
+        lo, hi = tree.interval[-1]
+        tree.interval[-1] = (lo, hi + 1)
+        return tree
+
+    monkeypatch.setattr(trees, "build_compact_tree", shifted)
+    report = run_verification()
+    failed = [c.name for c in report.checks if not c.ok]
+    assert failed == ["reference-trees", "tree-identities", "search-vs-scan"]

@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suffixlab import cli, trees
 from suffixlab.strings import TERMINATOR, Alphabet, from_text, make_string
 from suffixlab.trees import (
     build_compact_tree,
     build_suffix_tree,
+    compact_tree_via_simple,
     find_occurrences,
     growth_from_tree,
     growth_sum_identity,
@@ -50,8 +53,9 @@ def test_reference_string_tree():
 
 
 def test_empty_string_rejected():
-    with pytest.raises(ValueError):
-        build_suffix_tree(from_text("", 2))
+    for build in (build_suffix_tree, build_compact_tree, compact_tree_via_simple):
+        with pytest.raises(ValueError, match="empty string"):
+            build(from_text("", 2))
 
 
 def test_leaves_have_terminator_edges_and_no_children():
@@ -215,6 +219,75 @@ def test_compact_invariants_exhaustive_binary():
                 if tree.children[v]:
                     assert len(tree.children[v]) >= 2
             assert_leaf_paths(tree)
+
+
+def assert_intervals_hold_subtree_leaves(tree):
+    sa = tree.suffix_array
+    assert sorted(sa) == list(range(1, len(tree.source) + 1))
+    for v in range(tree.node_count):
+        below = []
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if tree.leaf_number(u) is not None:
+                below.append(tree.leaf_number(u))
+            stack.extend(tree.children[u].values())
+        lo, hi = tree.interval[v]
+        assert sorted(sa[lo:hi]) == sorted(below), (str(tree.source), v)
+
+
+@pytest.mark.parametrize("sigma,n_max", [(1, 12), (2, 12), (3, 8), (4, 6)])
+def test_direct_compact_tree_equals_collapsed_simple_tree_exhaustively(sigma, n_max):
+    for n in range(1, n_max + 1):
+        for s in all_strings(n, sigma):
+            assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout(), str(s)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_direct_compact_tree_equals_collapsed_simple_tree_random(data):
+    sigma = data.draw(st.integers(1, 5))
+    s = random_str(data.draw, sigma, 400)
+    tree = build_compact_tree(s)
+    assert tree.layout() == compact_tree_via_simple(s).layout()
+    assert_intervals_hold_subtree_leaves(tree)
+
+
+def test_intervals_hold_exactly_the_subtree_leaves():
+    for sigma, n_max in ((2, 8), (3, 5)):
+        for n in range(1, n_max + 1):
+            for s in all_strings(n, sigma):
+                assert_intervals_hold_subtree_leaves(build_compact_tree(s))
+
+
+def test_compact_tree_and_its_commands_build_no_simple_tree(monkeypatch, capsys):
+    def refuse(s):
+        raise AssertionError("the simple tree was built")
+
+    monkeypatch.setattr(trees, "build_suffix_tree", refuse)
+    tree = build_compact_tree(from_text("aabccb"))
+    assert tree.node_count == 10
+    assert find_occurrences(tree, from_text("b", 3)) == [3, 6]
+    assert cli.main(["search", "aabccb", "cb"]) == 0
+    assert cli.main(["tree", "aabccb", "--compact"]) == 0
+    assert cli.main(["tree", "aabccb", "--compact", "--dot"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["5", "n=6 sigma=3 nodes=10 internal=4 leaves=6 growth=5"]
+    assert out[2] == "digraph suffixtree {"
+
+
+def test_compact_tree_of_a_long_text():
+    rng = np.random.Generator(np.random.PCG64(7))
+    n = 20_000
+    s = make_string((int(x) for x in rng.integers(1, 5, size=n)), Alphabet(4))
+    tree = build_compact_tree(s)
+    assert tree.leaf_count == n
+    assert tree.node_count <= 2 * n
+    for start, length in ((1, 1), (500, 6), (19_990, 11), (7_000, 30)):
+        pattern = s.sub(start, start + length - 1)
+        assert find_occurrences(tree, pattern) == scan_occurrences(s, pattern)
+    miss = make_string([4] * 40, Alphabet(4))
+    assert find_occurrences(tree, miss) == scan_occurrences(s, miss) == []
 
 
 def test_compact_spans_never_copy_text():
