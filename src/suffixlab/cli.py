@@ -99,17 +99,15 @@ def _config(args: argparse.Namespace, n: int | None = None, n_list=()) -> experi
         mode=getattr(args, "mode", "montecarlo"),
         budget=args.budget,
         workers=args.workers,
-        out=args.out,
-        fmt=args.format,
     )
 
 
-def _emit_rows(config: experiments.ExperimentConfig, row_type, rows) -> None:
-    if config.fmt == "csv":
+def _emit_rows(args: argparse.Namespace, row_type, rows, **wrapper) -> None:
+    if args.format == "csv":
         text = experiments.rows_to_csv(row_type, rows)
     else:
-        text = experiments.rows_to_json(row_type, rows)
-    _emit(text, config.out)
+        text = experiments.rows_to_json(row_type, rows, **wrapper)
+    _emit(text, args.out)
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -130,21 +128,21 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 def cmd_mu(args: argparse.Namespace) -> int:
     sigma = args.sigma if args.sigma is not None else 2
-    table = counting.aperiodic_table(sigma, args.max_j)
-    _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.out)
+    rows = experiments.aperiodic_table(sigma, args.max_j)
+    _emit_rows(args, experiments.CountRow, rows, kind="aperiodic", sigma=sigma)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     sigma = args.sigma if args.sigma is not None else 2
-    table = counting.growth_bound_table(sigma, args.max_k)
-    _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.out)
+    rows = experiments.growth_bound_table(sigma, args.max_k)
+    _emit_rows(args, experiments.CountRow, rows, kind="growth_bound", sigma=sigma)
     return 0
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
     config = _config(args, n=args.n)
-    _emit_rows(config, experiments.GrowthCountRow, experiments.growth_count_table(config))
+    _emit_rows(args, experiments.GrowthCountRow, experiments.growth_count_table(config))
     return 0
 
 
@@ -152,15 +150,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = _config(args)
     report = experiments.run_verification(config)
     text = "\n".join(report.lines()) + "\n"
-    _emit(text, config.out)
-    if config.out is not None:
+    _emit(text, args.out)
+    if args.out is not None:
         sys.stdout.write(text)
     return 0 if report.ok else 1
 
 
 def cmd_expect_growth(args: argparse.Namespace) -> int:
     config = _config(args, n=args.n)
-    _emit_rows(config, experiments.ExpectationRow, experiments.expected_growth(config))
+    _emit_rows(args, experiments.ExpectationRow, experiments.expected_growth(config))
     return 0
 
 
@@ -176,7 +174,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 def cmd_expect_size(args: argparse.Namespace) -> int:
     config = _config(args, n_list=_parse_n_list(args.n_list))
-    _emit_rows(config, experiments.SizeRow, experiments.expected_size(config))
+    _emit_rows(args, experiments.SizeRow, experiments.expected_size(config))
     return 0
 
 

@@ -10,13 +10,18 @@ doing any work.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+
+from .strings import enumerate_strings
+
+# The growth kernel; growth_histogram calls it through this module
+# attribute, so it can be wrapped or replaced from outside.
+from .strings import growth_of_symbols as growth_of_digits
 
 #: Largest number of strings an enumeration is allowed to touch by default.
 DEFAULT_BUDGET = 1 << 24
@@ -95,6 +100,8 @@ def count_aperiodic_bruteforce(j: int, sigma: int, budget: int = DEFAULT_BUDGET)
     """
     if j < 1:
         raise ValueError(f"length must be at least 1, got {j}")
+    if sigma < 1:
+        raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     required = sigma**j
     if required > budget:
         raise EnumerationBudgetError(required, budget)
@@ -140,42 +147,12 @@ def growth_bound_prefix_sum(m: int, sigma: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def growth_of_digits(digits, n: int) -> int:
-    """Growth of a raw digit sequence: n minus the longest common prefix
-    of the sequence with any of its proper suffixes."""
-    best = 0
-    for j in range(1, n):
-        if n - j <= best:
-            break
-        k = 0
-        while j + k < n and digits[k] == digits[j + k]:
-            k += 1
-        if k > best:
-            best = k
-    return n - best
-
-
-def _decode_base(code: int, n: int, sigma: int) -> list[int]:
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        code, digits[i] = divmod(code, sigma)
-    return digits
-
-
 def _growth_histogram_range(n: int, sigma: int, start: int, stop: int) -> list[int]:
     """Histogram of growth over the lexicographic range [start, stop) of
-    base-sigma strings of length n. hist[k] counts strings with growth k."""
+    length-n strings. hist[k] counts strings with growth k."""
     hist = [0] * (n + 1)
-    digits = _decode_base(start, n, sigma)
-    for _ in range(stop - start):
-        hist[growth_of_digits(digits, n)] += 1
-        i = n - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < sigma:
-                break
-            digits[i] = 0
-            i -= 1
+    for symbols in enumerate_strings(n, sigma, start, stop):
+        hist[growth_of_digits(symbols)] += 1
     return hist
 
 
@@ -401,7 +378,7 @@ def check_growth_bound(
 
 
 # ---------------------------------------------------------------------------
-# Reference table and export
+# Reference table
 # ---------------------------------------------------------------------------
 
 #: Hand-transcribed reference values for count_aperiodic(j, sigma),
@@ -464,106 +441,3 @@ def reference_table_discrepancies() -> list[TableDiscrepancy]:
                 )
             )
     return out
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Export container for exact counts.
-
-    kind "aperiodic": entries map length j -> count;
-    kind "growth_bound": entries map growth k -> bound;
-    kind "growth_count": entries map (n, k) -> count.
-    """
-
-    kind: str
-    sigma: int
-    entries: dict
-
-    KINDS = ("aperiodic", "growth_bound", "growth_count")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown table kind {self.kind!r}")
-
-    def rows(self) -> list[tuple[str, str, str, str]]:
-        """Rows (sigma, j_or_n, k, value) with exact decimal values."""
-        out = []
-        if self.kind == "aperiodic":
-            for j in sorted(self.entries):
-                out.append((str(self.sigma), str(j), "", str(self.entries[j])))
-        elif self.kind == "growth_bound":
-            for k in sorted(self.entries):
-                out.append((str(self.sigma), "", str(k), str(self.entries[k])))
-        else:
-            for n, k in sorted(self.entries):
-                out.append((str(self.sigma), str(n), str(k), str(self.entries[(n, k)])))
-        return out
-
-    def to_csv(self) -> str:
-        lines = ["sigma,j_or_n,k,value"]
-        lines.extend(",".join(row) for row in self.rows())
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "rows": [
-                {"sigma": r[0], "j_or_n": r[1], "k": r[2], "value": r[3]}
-                for r in self.rows()
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def _from_rows(cls, rows: list[tuple[str, str, str, str]]) -> "CountTable":
-        if not rows:
-            raise ValueError("cannot rebuild a table from zero rows")
-        sigma = int(rows[0][0])
-        entries: dict = {}
-        kind = None
-        for sig, j_or_n, k, value in rows:
-            if int(sig) != sigma:
-                raise ValueError("mixed sigma values in one table")
-            if j_or_n and k:
-                kind = "growth_count"
-                entries[(int(j_or_n), int(k))] = int(value)
-            elif j_or_n:
-                kind = "aperiodic"
-                entries[int(j_or_n)] = int(value)
-            else:
-                kind = "growth_bound"
-                entries[int(k)] = int(value)
-        return cls(kind=kind, sigma=sigma, entries=entries)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CountTable":
-        lines = [line for line in text.splitlines() if line]
-        if not lines or lines[0] != "sigma,j_or_n,k,value":
-            raise ValueError("missing count-table header")
-        rows = [tuple(line.split(",")) for line in lines[1:]]
-        return cls._from_rows(rows)  # type: ignore[arg-type]
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountTable":
-        payload = json.loads(text)
-        rows = [
-            (r["sigma"], r["j_or_n"], r["k"], r["value"]) for r in payload["rows"]
-        ]
-        return cls._from_rows(rows)
-
-
-def aperiodic_table(sigma: int, max_j: int) -> CountTable:
-    return CountTable(
-        kind="aperiodic",
-        sigma=sigma,
-        entries={j: count_aperiodic(j, sigma) for j in range(1, max_j + 1)},
-    )
-
-
-def growth_bound_table(sigma: int, max_k: int) -> CountTable:
-    return CountTable(
-        kind="growth_bound",
-        sigma=sigma,
-        entries={k: growth_bound(k, sigma) for k in range(1, max_k + 1)},
-    )

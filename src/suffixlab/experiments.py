@@ -1,5 +1,6 @@
-"""Experiment drivers: seeded sampling, expectation estimates, growth-count
-tables, and the one-shot verification sweep behind `suffixlab verify`.
+"""Experiment drivers: seeded sampling, expectation estimates, count and
+growth-count tables with the one CSV/JSON serializer of their rows, and
+the one-shot verification sweep behind `suffixlab verify`.
 
 Sampling uses numpy's PCG64 generator. The algorithm is fixed and its
 output stream documented, so a seed pins the sampled strings on every
@@ -8,18 +9,19 @@ platform; Monte Carlo commands are therefore byte-reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from pathlib import Path
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Mapping, get_args, get_type_hints
 
 import numpy as np
 
 from . import counting, trees
-from .strings import Alphabet, Str, from_text
+from .strings import Alphabet, Str, enumerate_strings, from_text
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -47,8 +49,6 @@ class ExperimentConfig:
     mode: str = "montecarlo"
     budget: int = counting.DEFAULT_BUDGET
     workers: int = 1
-    out: Path | None = None
-    fmt: str = "csv"
 
     def validate(self) -> None:
         if self.sigma < 2:
@@ -59,36 +59,22 @@ class ExperimentConfig:
             raise ValueError("montecarlo mode needs at least one sample")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
 
 
 # ---------------------------------------------------------------------------
-# Row types with exact text serialization (CSV and JSON share the cells)
+# Row types and their one text serializer (CSV and JSON share the cells)
 # ---------------------------------------------------------------------------
 
 
-def _bool_cell(value: bool) -> str:
-    return "true" if value else "false"
+@dataclass(frozen=True)
+class CountRow:
+    """One line of a `mu` or `phi` table: j_or_n is set for aperiodic
+    counts (length j), k for growth bounds."""
 
-
-def _parse_bool(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"not a boolean cell: {cell!r}")
-    return cell == "true"
-
-
-def _fraction_cell(value: Fraction | None) -> str:
-    if value is None:
-        return ""
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _parse_fraction(cell: str) -> Fraction | None:
-    if not cell:
-        return None
-    num, den = cell.split("/")
-    return Fraction(int(num), int(den))
+    sigma: int
+    j_or_n: int | None
+    k: int | None
+    value: int
 
 
 @dataclass(frozen=True)
@@ -102,31 +88,6 @@ class GrowthCountRow:
     bound: int
     n_ge_2k: bool
     holds: bool
-
-    COLUMNS = ("sigma", "n", "k", "count", "bound", "n_ge_2k", "holds")
-
-    def cells(self) -> list[str]:
-        return [
-            str(self.sigma),
-            str(self.n),
-            str(self.k),
-            str(self.count),
-            str(self.bound),
-            _bool_cell(self.n_ge_2k),
-            _bool_cell(self.holds),
-        ]
-
-    @classmethod
-    def from_cells(cls, cells: list[str]) -> "GrowthCountRow":
-        return cls(
-            sigma=int(cells[0]),
-            n=int(cells[1]),
-            k=int(cells[2]),
-            count=int(cells[3]),
-            bound=int(cells[4]),
-            n_ge_2k=_parse_bool(cells[5]),
-            holds=_parse_bool(cells[6]),
-        )
 
 
 @dataclass(frozen=True)
@@ -142,33 +103,6 @@ class ExpectationRow:
     stderr: float
     mean_exact: Fraction | None = None
 
-    COLUMNS = ("sigma", "n", "mode", "regime", "samples", "mean", "stderr", "mean_exact")
-
-    def cells(self) -> list[str]:
-        return [
-            str(self.sigma),
-            str(self.n),
-            self.mode,
-            self.regime,
-            str(self.samples),
-            repr(self.mean),
-            repr(self.stderr),
-            _fraction_cell(self.mean_exact),
-        ]
-
-    @classmethod
-    def from_cells(cls, cells: list[str]) -> "ExpectationRow":
-        return cls(
-            sigma=int(cells[0]),
-            n=int(cells[1]),
-            mode=cells[2],
-            regime=cells[3],
-            samples=int(cells[4]),
-            mean=float(cells[5]),
-            stderr=float(cells[6]),
-            mean_exact=_parse_fraction(cells[7]),
-        )
-
 
 @dataclass(frozen=True)
 class SizeRow:
@@ -183,60 +117,106 @@ class SizeRow:
     mean_over_n2: float
     mean_exact: Fraction | None = None
 
-    COLUMNS = ("sigma", "n", "mode", "samples", "mean", "stderr", "mean_over_n2", "mean_exact")
 
-    def cells(self) -> list[str]:
-        return [
-            str(self.sigma),
-            str(self.n),
-            self.mode,
-            str(self.samples),
-            repr(self.mean),
-            repr(self.stderr),
-            repr(self.mean_over_n2),
-            _fraction_cell(self.mean_exact),
-        ]
+#: Cell text by the type of the value: floats via repr, so parsing returns
+#: the identical value, and exact fractions as p/q.
+_ENCODE = {
+    int: str,
+    str: str,
+    bool: lambda value: "true" if value else "false",
+    float: repr,
+    Fraction: lambda value: f"{value.numerator}/{value.denominator}",
+    type(None): lambda value: "",
+}
 
-    @classmethod
-    def from_cells(cls, cells: list[str]) -> "SizeRow":
-        return cls(
-            sigma=int(cells[0]),
-            n=int(cells[1]),
-            mode=cells[2],
-            samples=int(cells[3]),
-            mean=float(cells[4]),
-            stderr=float(cells[5]),
-            mean_over_n2=float(cells[6]),
-            mean_exact=_parse_fraction(cells[7]),
-        )
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"not a boolean cell: {cell!r}")
+    return cell == "true"
+
+
+_PARSE = {int: int, str: str, bool: _parse_bool, float: float, Fraction: Fraction}
+
+
+def _parser(annotation) -> Callable[[str], object]:
+    """Cell parser for a field annotation; `X | None` reads an empty cell as None."""
+    args = get_args(annotation)
+    if type(None) not in args:
+        return _PARSE[annotation]
+    (base,) = (a for a in args if a is not type(None))
+    parse = _PARSE[base]
+    return lambda cell: parse(cell) if cell else None
+
+
+@cache
+def _parsers(row_type) -> Mapping[str, Callable[[str], object]]:
+    """Cell parser of every field of a row dataclass, in field order."""
+    hints = get_type_hints(row_type)
+    return MappingProxyType({f.name: _parser(hints[f.name]) for f in fields(row_type)})
+
+
+def _cell(value) -> str:
+    return _ENCODE[type(value)](value)
+
+
+def _row_dicts(row_type, rows) -> list[dict[str, str]]:
+    names = list(_parsers(row_type))
+    return [{name: _cell(getattr(row, name)) for name in names} for row in rows]
+
+
+def _parse_row(row_type, cells: list[str]):
+    pairs = zip(_parsers(row_type).items(), cells, strict=True)
+    return row_type(**{name: parse(cell) for (name, parse), cell in pairs})
 
 
 def rows_to_csv(row_type, rows) -> str:
-    lines = [",".join(row_type.COLUMNS)]
-    lines.extend(",".join(row.cells()) for row in rows)
+    lines = [",".join(_parsers(row_type))]
+    lines.extend(",".join(cells.values()) for cells in _row_dicts(row_type, rows))
     return "\n".join(lines) + "\n"
 
 
 def rows_from_csv(row_type, text: str):
     lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != ",".join(row_type.COLUMNS):
+    if not lines or lines[0] != ",".join(_parsers(row_type)):
         raise ValueError(f"missing header for {row_type.__name__}")
-    return [row_type.from_cells(line.split(",")) for line in lines[1:]]
+    return [_parse_row(row_type, line.split(",")) for line in lines[1:]]
 
 
-def rows_to_json(row_type, rows) -> str:
-    payload = [dict(zip(row_type.COLUMNS, row.cells())) for row in rows]
+def rows_to_json(row_type, rows, **wrapper) -> str:
+    """A JSON list of row objects; given wrapper fields, an object with
+    those fields and the list under "rows"."""
+    payload = _row_dicts(row_type, rows)
+    if wrapper:
+        payload = {**wrapper, "rows": payload}
     return json.dumps(payload, indent=2) + "\n"
 
 
 def rows_from_json(row_type, text: str):
+    """Rows from rows_to_json output, with or without wrapper fields."""
     payload = json.loads(text)
-    return [row_type.from_cells([item[c] for c in row_type.COLUMNS]) for item in payload]
+    if isinstance(payload, dict):
+        payload = payload["rows"]
+    return [_parse_row(row_type, [item[name] for name in _parsers(row_type)]) for item in payload]
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+
+def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
+    """Aperiodic-string counts for j = 1..max_j."""
+    return [
+        CountRow(sigma, j, None, counting.count_aperiodic(j, sigma)) for j in range(1, max_j + 1)
+    ]
+
+
+def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
+    """Growth-count bounds for k = 1..max_k."""
+    return [
+        CountRow(sigma, None, k, counting.growth_bound(k, sigma)) for k in range(1, max_k + 1)
+    ]
 
 
 def growth_count_table(config: ExperimentConfig) -> list[GrowthCountRow]:
@@ -449,12 +429,6 @@ class VerificationReport:
         return out
 
 
-def _all_strings(n: int, sigma: int):
-    alphabet = Alphabet(sigma)
-    for symbols in itertools.product(range(1, sigma + 1), repeat=n):
-        yield Str(symbols, alphabet)
-
-
 def _check_reference_table() -> CheckResult:
     discrepancies = counting.reference_table_discrepancies()
     unknown = [d for d in discrepancies if not d.known]
@@ -611,8 +585,10 @@ def _check_tree_identities() -> CheckResult:
     bad = []
     strings = 0
     for sigma, n_max in ((2, 10), (3, 7)):
+        alphabet = Alphabet(sigma)
         for n in range(2, n_max + 1):
-            for s in _all_strings(n, sigma):
+            for symbols in enumerate_strings(n, sigma):
+                s = Str(symbols, alphabet)
                 strings += 1
                 if trees.growth_via_tree(s) != trees.growth_via_lcp(s):
                     bad.append(("growth", str(s)))

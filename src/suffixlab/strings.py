@@ -3,13 +3,15 @@
 Symbols are the integers 1..sigma; a reserved terminator (rendered as '$')
 lives outside every alphabet and is never stored inside a string. A text
 codec maps 'a'..'z' to 1..26 at the boundary so tests and the CLI can use
-readable literals.
+readable literals. Exhaustive sweeps share one enumerator of raw symbol
+tuples and one growth kernel over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice, product
+from typing import Iterable, Iterator, Sequence
 
 #: Sentinel symbol appended (conceptually) to every suffix. Outside all alphabets.
 TERMINATOR = 0
@@ -157,3 +159,32 @@ def minimal_period(s: Str) -> int:
 def is_aperiodic(s: Str) -> bool:
     """True when the minimal period of s equals its length."""
     return minimal_period(s) == len(s)
+
+
+def enumerate_strings(
+    n: int, sigma: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Symbol tuples of every length-n string over 1..sigma, in
+    lexicographic order, from the start-th (0-based) up to but excluding
+    the stop-th; stop=None runs to the last of the sigma^n strings.
+
+    The first start strings are still stepped over, in C, at a small
+    fraction of the cost of any per-string work in Python.
+    """
+    return islice(product(range(1, sigma + 1), repeat=n), start, stop)
+
+
+def growth_of_symbols(symbols: Sequence[int]) -> int:
+    """Growth of a symbol sequence: its length minus the longest common
+    prefix of the sequence with any of its proper suffixes."""
+    n = len(symbols)
+    best = 0
+    for j in range(1, n):
+        if n - j <= best:
+            break
+        k = 0
+        while j + k < n and symbols[k] == symbols[j + k]:
+            k += 1
+        if k > best:
+            best = k
+    return n - best

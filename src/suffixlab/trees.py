@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .strings import TERMINATOR, Str, symbol_char
+from .strings import TERMINATOR, Str, growth_of_symbols, symbol_char
 
 
 class TreeBase:
@@ -459,21 +459,7 @@ def growth_via_lcp(s: Str) -> int:
     """
     if len(s) < 1:
         raise ValueError("growth of the empty string is undefined")
-    return _growth_of_symbols(s.symbols)
-
-
-def _growth_of_symbols(syms: tuple[int, ...]) -> int:
-    n = len(syms)
-    best = 0
-    for j in range(1, n):
-        if n - j <= best:
-            break
-        k = 0
-        while j + k < n and syms[k] == syms[j + k]:
-            k += 1
-        if k > best:
-            best = k
-    return n - best
+    return growth_of_symbols(s.symbols)
 
 
 def growth_from_tree(tree: SuffixTree) -> int:
@@ -519,7 +505,7 @@ def growth_sum_identity(s: Str) -> GrowthSumIdentity:
         raise ValueError("the identity needs a string of length at least 2")
     nodes = build_suffix_tree(s).node_count
     syms = s.symbols
-    growth_sum = sum(_growth_of_symbols(syms[m:]) for m in range(n - 1)) + 2 + n
+    growth_sum = sum(growth_of_symbols(syms[m:]) for m in range(n - 1)) + 2 + n
     substrings = simple_tree_size(s)
     return GrowthSumIdentity(
         node_count=nodes,

@@ -1,13 +1,4 @@
-import itertools
-
-from suffixlab.strings import TERMINATOR, Alphabet, Str
-
-
-def all_strings(n, sigma):
-    """Every length-n string over symbols 1..sigma."""
-    alphabet = Alphabet(sigma)
-    for symbols in itertools.product(range(1, sigma + 1), repeat=n):
-        yield Str(symbols, alphabet)
+from suffixlab.strings import TERMINATOR
 
 
 def assert_leaf_paths(tree):

@@ -28,7 +28,7 @@ from suffixlab.experiments import (
     random_string,
     rows_to_csv,
 )
-from suffixlab.strings import from_text
+from suffixlab.strings import Alphabet, Str, enumerate_strings, from_text
 from suffixlab.trees import (
     build_compact_tree,
     build_suffix_tree,
@@ -38,8 +38,6 @@ from suffixlab.trees import (
     growth_via_tree,
     scan_occurrences,
 )
-
-from conftest import all_strings
 
 
 def _report(num, detail):
@@ -148,7 +146,8 @@ def test_criterion_08_oracle_equivalence_and_node_identity():
     t0 = time.perf_counter()
     strings = 0
     for n in range(1, 13):
-        for s in all_strings(n, 2):
+        for symbols in enumerate_strings(n, 2):
+            s = Str(symbols, Alphabet(2))
             strings += 1
             assert growth_via_tree(s) == growth_via_lcp(s), str(s)
             if n == 1:

@@ -3,8 +3,14 @@ from pathlib import Path
 import pytest
 
 from suffixlab import cli
-from suffixlab.counting import CountTable
-from suffixlab.experiments import ExpectationRow, GrowthCountRow, SizeRow, rows_from_csv
+from suffixlab.experiments import (
+    CountRow,
+    ExpectationRow,
+    GrowthCountRow,
+    SizeRow,
+    rows_from_csv,
+    rows_from_json,
+)
 
 
 def run_cli(args, capsys):
@@ -41,23 +47,25 @@ def test_growth_command(capsys):
 def test_mu_table_csv(capsys):
     code, out, _ = run_cli(["mu", "--sigma", "3", "--max-j", "8"], capsys)
     assert code == 0
-    table = CountTable.from_csv(out)
-    assert table.entries[8] == 6480
-    assert table.entries[1] == 3
+    counts = {row.j_or_n: row.value for row in rows_from_csv(CountRow, out)}
+    assert counts[8] == 6480
+    assert counts[1] == 3
 
 
 def test_mu_table_json(capsys):
     code, out, _ = run_cli(["mu", "--sigma", "4", "--max-j", "5", "--format", "json"], capsys)
     assert code == 0
-    table = CountTable.from_json(out)
-    assert table.entries == {1: 4, 2: 12, 3: 60, 4: 240, 5: 1020}
+    rows = rows_from_json(CountRow, out)
+    assert {row.j_or_n: row.value for row in rows} == {1: 4, 2: 12, 3: 60, 4: 240, 5: 1020}
+    assert all(row.k is None for row in rows)
 
 
 def test_phi_table_csv(capsys):
     code, out, _ = run_cli(["phi", "--sigma", "2", "--max-k", "3"], capsys)
     assert code == 0
-    table = CountTable.from_csv(out)
-    assert table.entries == {1: 2, 2: 4, 3: 12}
+    rows = rows_from_csv(CountRow, out)
+    assert {row.k: row.value for row in rows} == {1: 2, 2: 4, 3: 12}
+    assert all(row.j_or_n is None for row in rows)
 
 
 def test_omega_table(capsys):
@@ -153,6 +161,7 @@ def test_expect_size_json(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 MC_SIZE = ["expect-size", "--sigma", "2", "--n-list", "64,128,256", "--samples", "200", "--seed", "1"]
+EXPECT_GROWTH_SEED9 = ["expect-growth", "--sigma", "2", "--n", "32", "--samples", "50", "--seed", "9"]
 
 
 @pytest.mark.parametrize(
@@ -161,6 +170,8 @@ MC_SIZE = ["expect-size", "--sigma", "2", "--n-list", "64,128,256", "--samples",
         (MC_SIZE, "expect_size_seed1.csv"),
         (MC_SIZE + ["--format", "json"], "expect_size_seed1.json"),
         (["expect-size", "--mode", "exhaustive", "--sigma", "2", "--n-list", "1,2,4,8"], "expect_size_exhaustive.csv"),
+        (EXPECT_GROWTH_SEED9, "expect_growth_seed9.csv"),
+        (EXPECT_GROWTH_SEED9 + ["--format", "json"], "expect_growth_seed9.json"),
     ],
 )
 def test_expect_size_output_matches_golden_bytes(args, golden, capsys):
@@ -176,6 +187,11 @@ def test_expect_size_output_matches_golden_bytes(args, golden, capsys):
         (["omega", "--sigma", "2", "--n", "16", "--format", "json"], "omega_sigma2_n16.json"),
         (["omega", "--sigma", "3", "--n", "9"], "omega_sigma3_n9.csv"),
         (["expect-growth", "--mode", "exhaustive", "--sigma", "2", "--n", "12"], "expect_growth_exhaustive.csv"),
+        (["mu", "--sigma", "3", "--max-j", "8"], "mu_sigma3_j8.csv"),
+        (["mu", "--sigma", "3", "--max-j", "8", "--format", "json"], "mu_sigma3_j8.json"),
+        (["phi", "--sigma", "2", "--max-k", "10"], "phi_sigma2_k10.csv"),
+        (["phi", "--sigma", "2", "--max-k", "10", "--format", "json"], "phi_sigma2_k10.json"),
+        (["verify", "--seed", "1"], "verify_seed1.txt"),
     ],
 )
 def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):

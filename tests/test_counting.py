@@ -4,25 +4,20 @@ import pytest
 
 from suffixlab import cli, counting
 from suffixlab.counting import (
-    CountTable,
     EnumerationBudgetError,
     aperiodic_prime_power,
-    aperiodic_table,
     check_growth_bound,
     count_aperiodic,
     count_aperiodic_bruteforce,
     count_with_growth,
     growth_bound,
     growth_bound_prefix_sum,
-    growth_bound_table,
     growth_counts,
     growth_histogram,
     proper_divisors,
 )
 from suffixlab.experiments import ExperimentConfig, growth_count_table
-from suffixlab.strings import is_aperiodic
-
-from conftest import all_strings
+from suffixlab.strings import Alphabet, Str, enumerate_strings, is_aperiodic
 
 
 def test_proper_divisors():
@@ -38,7 +33,7 @@ def test_count_aperiodic_values(j, sigma, expected):
 
 def test_count_aperiodic_length_two_binary():
     # direct enumeration of the four binary strings: only ab and ba qualify
-    enumerated = sum(1 for s in all_strings(2, 2) if is_aperiodic(s))
+    enumerated = sum(1 for t in enumerate_strings(2, 2) if is_aperiodic(Str(t, Alphabet(2))))
     assert enumerated == 2
     assert count_aperiodic(2, 2) == 2
 
@@ -110,8 +105,21 @@ def test_bruteforce_agrees_with_per_string_definition():
     # ties the enumeration loop to the Str-level periodicity test
     for sigma, j_max in ((1, 5), (2, 8), (3, 5)):
         for j in range(1, j_max + 1):
-            by_definition = sum(1 for s in all_strings(j, sigma) if is_aperiodic(s))
+            alphabet = Alphabet(sigma)
+            strings = (Str(t, alphabet) for t in enumerate_strings(j, sigma))
+            by_definition = sum(1 for s in strings if is_aperiodic(s))
             assert count_aperiodic_bruteforce(j, sigma) == by_definition
+
+
+@pytest.mark.parametrize("sigma", [0, -1])
+def test_bruteforce_rejects_what_the_recurrence_rejects(sigma):
+    # a budget below every sigma^j shows the alphabet is checked first
+    with pytest.raises(ValueError) as brute:
+        count_aperiodic_bruteforce(3, sigma, budget=-2)
+    with pytest.raises(ValueError) as recurrence:
+        count_aperiodic(3, sigma)
+    assert str(brute.value) == str(recurrence.value)
+    assert str(brute.value).startswith("alphabet size must be at least 1")
 
 
 def test_bruteforce_budget():
@@ -150,12 +158,15 @@ def test_growth_histogram_worker_invariance():
     assert growth_histogram(8, 2, workers=3) == base
 
 
-def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch):
-    pool_sizes = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by one that runs each call at once in this
+    process; the returned lists record pool sizes and call arguments."""
+    record = {"sizes": [], "calls": []}
 
     class InlinePool:
         def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+            record["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -164,14 +175,31 @@ def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            record["calls"].append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    return record
+
+
+def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch, inline_pool):
+    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1})
     assert growth_histogram(8, 2, workers=3) == growth_histogram(8, 2, workers=1)
-    assert pool_sizes == [2]
+    assert inline_pool["sizes"] == [2]
+
+
+def test_growth_histogram_ranges_enumerate_every_string_once_in_order(monkeypatch, inline_pool):
+    n, sigma = 5, 3
+    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    growth_histogram(n, sigma, workers=4)
+    ranges = [(lo, hi) for _, _, lo, hi in inline_pool["calls"]]
+    assert len(ranges) == 4
+    strings = [t for lo, hi in ranges for t in enumerate_strings(n, sigma, lo, hi)]
+    assert len(strings) == sigma**n
+    assert strings == sorted(set(strings))
+    assert all(len(t) == n and set(t) <= set(range(1, sigma + 1)) for t in strings)
 
 
 @pytest.mark.parametrize("sigma,n_max", [(1, 6), (2, 14), (3, 9), (4, 7), (5, 5)])
@@ -212,7 +240,7 @@ def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert [row.count for row in rows] == [growth_histogram(12, 2)[k] for k in range(1, 13)]
 
-    def no_enumeration(digits, n):
+    def no_enumeration(symbols):
         raise AssertionError("omega must not enumerate strings")
 
     monkeypatch.setattr(counting, "growth_of_digits", no_enumeration)
@@ -255,24 +283,6 @@ def test_reference_table_mismatches_are_all_documented():
     by_cell = {(d.sigma, d.j): d for d in discrepancies}
     assert by_cell[(3, 8)].published == 648
     assert by_cell[(3, 8)].computed == 6480
-
-
-def test_count_table_csv_roundtrip():
-    for table in (aperiodic_table(3, 8), growth_bound_table(2, 6)):
-        assert CountTable.from_csv(table.to_csv()) == table
-        assert CountTable.from_json(table.to_json()) == table
-
-
-def test_count_table_growth_count_kind_roundtrip():
-    hist = growth_histogram(4, 2)
-    table = CountTable(kind="growth_count", sigma=2, entries={(4, k): v for k, v in hist.items()})
-    assert CountTable.from_csv(table.to_csv()) == table
-    assert CountTable.from_json(table.to_json()) == table
-
-
-def test_count_table_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        CountTable(kind="nonsense", sigma=2, entries={})
 
 
 def test_exact_arithmetic_at_large_sizes():

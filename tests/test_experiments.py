@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from suffixlab import counting, trees
+from suffixlab import cli, counting, trees
 from suffixlab.experiments import (
+    CountRow,
     ExpectationRow,
     ExperimentConfig,
     GrowthCountRow,
@@ -22,8 +25,7 @@ from suffixlab.experiments import (
     rows_to_json,
     run_verification,
 )
-
-from conftest import all_strings
+from suffixlab.strings import Alphabet, Str, enumerate_strings
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,8 @@ def test_expected_growth_single_symbol_string():
 
 def expected_size_by_enumeration(n, sigma):
     """Oracle: the mean of simple_tree_size over every length-n string."""
-    total = sum(trees.simple_tree_size(s) for s in all_strings(n, sigma))
+    alphabet = Alphabet(sigma)
+    total = sum(trees.simple_tree_size(Str(t, alphabet)) for t in enumerate_strings(n, sigma))
     return Fraction(total, sigma**n)
 
 
@@ -202,24 +205,51 @@ def test_growth_count_table_budget_error():
 # ---------------------------------------------------------------------------
 
 
-def test_growth_count_rows_roundtrip():
-    rows = growth_count_table(ExperimentConfig(sigma=2, n=5))
-    assert rows_from_csv(GrowthCountRow, rows_to_csv(GrowthCountRow, rows)) == rows
-    assert rows_from_json(GrowthCountRow, rows_to_json(GrowthCountRow, rows)) == rows
+# fields not named here are drawn from their annotations (int, bool)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+exact = st.none() | st.fractions()
+modes = st.sampled_from(["montecarlo", "exhaustive"])
+regimes = st.sampled_from(["uniform", "prefix"])
+count_rows = st.builds(CountRow, j_or_n=st.none() | st.integers(), k=st.none() | st.integers())
+growth_count_rows = st.builds(GrowthCountRow)
+expectation_rows = st.builds(
+    ExpectationRow, mode=modes, regime=regimes, mean=finite, stderr=finite, mean_exact=exact
+)
+size_rows = st.builds(
+    SizeRow, mode=modes, mean=finite, stderr=finite, mean_over_n2=finite, mean_exact=exact
+)
 
 
-def test_expectation_rows_roundtrip():
-    rows = expected_growth(ExperimentConfig(sigma=2, n=6, samples=25, seed=3))
-    rows += expected_growth(ExperimentConfig(sigma=2, n=4, mode="exhaustive"))
-    assert rows_from_csv(ExpectationRow, rows_to_csv(ExpectationRow, rows)) == rows
-    assert rows_from_json(ExpectationRow, rows_to_json(ExpectationRow, rows)) == rows
+def assert_roundtrip(row_type, rows):
+    assert rows_from_csv(row_type, rows_to_csv(row_type, rows)) == rows
+    assert rows_from_json(row_type, rows_to_json(row_type, rows)) == rows
 
 
-def test_size_rows_roundtrip():
-    rows = expected_size(ExperimentConfig(sigma=2, n_list=(4, 8), samples=10, seed=11))
-    rows += expected_size(ExperimentConfig(sigma=2, n_list=(3,), mode="exhaustive"))
-    assert rows_from_csv(SizeRow, rows_to_csv(SizeRow, rows)) == rows
-    assert rows_from_json(SizeRow, rows_to_json(SizeRow, rows)) == rows
+@given(st.lists(count_rows))
+def test_count_rows_roundtrip(rows):
+    assert_roundtrip(CountRow, rows)
+    wrapped = rows_to_json(CountRow, rows, kind="aperiodic", sigma=2)
+    assert rows_from_json(CountRow, wrapped) == rows
+
+
+@given(st.lists(growth_count_rows))
+def test_growth_count_rows_roundtrip(rows):
+    assert_roundtrip(GrowthCountRow, rows)
+
+
+@given(st.lists(expectation_rows))
+def test_expectation_rows_roundtrip(rows):
+    assert_roundtrip(ExpectationRow, rows)
+
+
+@given(st.lists(size_rows))
+def test_size_rows_roundtrip(rows):
+    assert_roundtrip(SizeRow, rows)
+
+
+@given(st.lists(st.integers(), min_size=1))
+def test_n_list_text_parses_back(values):
+    assert cli._parse_n_list(",".join(map(str, values))) == tuple(values)
 
 
 def test_csv_rejects_wrong_header():

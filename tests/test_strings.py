@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from suffixlab.strings import (
     TERMINATOR,
     Alphabet,
+    Str,
+    enumerate_strings,
     from_text,
     is_aperiodic,
     make_string,
@@ -12,8 +14,6 @@ from suffixlab.strings import (
     substring,
     to_text,
 )
-
-from conftest import all_strings
 
 
 def test_codec_encodes_letters():
@@ -123,7 +123,8 @@ def test_periodicity_of_empty_string_is_rejected():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_minimal_period_divides_length(n):
-    for s in all_strings(n, 2):
+    for symbols in enumerate_strings(n, 2):
+        s = Str(symbols, Alphabet(2))
         assert n % minimal_period(s) == 0
 
 
@@ -133,7 +134,8 @@ def test_repeating_an_aperiodic_block_sets_the_period():
         for d in range(1, n):
             if n % d:
                 continue
-            for block in all_strings(d, 2):
+            for symbols in enumerate_strings(d, 2):
+                block = Str(symbols, Alphabet(2))
                 if not is_aperiodic(block):
                     continue
                 repeated = make_string(block.symbols * (n // d), Alphabet(2))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suffixlab import cli, trees
-from suffixlab.strings import TERMINATOR, Alphabet, from_text, make_string
+from suffixlab.strings import TERMINATOR, Alphabet, Str, enumerate_strings, from_text, make_string
 from suffixlab.trees import (
     build_compact_tree,
     build_suffix_tree,
@@ -20,7 +20,7 @@ from suffixlab.trees import (
     to_dot,
 )
 
-from conftest import all_strings, assert_leaf_paths
+from conftest import assert_leaf_paths
 
 
 def random_str(draw, sigma, max_n):
@@ -59,7 +59,8 @@ def test_empty_string_rejected():
 
 
 def test_leaves_have_terminator_edges_and_no_children():
-    for s in all_strings(5, 2):
+    for symbols in enumerate_strings(5, 2):
+        s = Str(symbols, Alphabet(2))
         tree = build_suffix_tree(s)
         assert len(tree.leaves) == 5
         for leaf in tree.leaves.values():
@@ -108,7 +109,8 @@ def test_simple_tree_size_rejects_empty_string():
 @pytest.mark.parametrize("sigma,n_max", [(2, 10), (3, 7), (4, 5)])
 def test_simple_tree_size_matches_tree_exhaustively(sigma, n_max):
     for n in range(1, n_max + 1):
-        for s in all_strings(n, sigma):
+        for symbols in enumerate_strings(n, sigma):
+            s = Str(symbols, Alphabet(sigma))
             assert simple_tree_size(s) == build_suffix_tree(s).node_count, str(s)
 
 
@@ -142,7 +144,8 @@ def test_growth_of_empty_string_rejected():
 
 def test_growth_routes_agree_exhaustively_binary():
     for n in range(1, 9):
-        for s in all_strings(n, 2):
+        for symbols in enumerate_strings(n, 2):
+            s = Str(symbols, Alphabet(2))
             assert growth_via_tree(s) == growth_via_lcp(s)
 
 
@@ -180,7 +183,8 @@ def test_growth_sum_identity_needs_two_symbols():
 
 def test_growth_sum_identity_exhaustive_ternary():
     for n in range(2, 8):
-        for s in all_strings(n, 3):
+        for symbols in enumerate_strings(n, 3):
+            s = Str(symbols, Alphabet(3))
             assert growth_sum_identity(s).equal
 
 
@@ -212,7 +216,8 @@ def test_compact_reference_string_labels():
 
 def test_compact_invariants_exhaustive_binary():
     for n in range(1, 9):
-        for s in all_strings(n, 2):
+        for symbols in enumerate_strings(n, 2):
+            s = Str(symbols, Alphabet(2))
             tree = build_compact_tree(s)
             assert tree.node_count <= 2 * n
             for v in range(1, tree.node_count):
@@ -239,7 +244,8 @@ def assert_intervals_hold_subtree_leaves(tree):
 @pytest.mark.parametrize("sigma,n_max", [(1, 12), (2, 12), (3, 8), (4, 6)])
 def test_direct_compact_tree_equals_collapsed_simple_tree_exhaustively(sigma, n_max):
     for n in range(1, n_max + 1):
-        for s in all_strings(n, sigma):
+        for symbols in enumerate_strings(n, sigma):
+            s = Str(symbols, Alphabet(sigma))
             assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout(), str(s)
 
 
@@ -256,7 +262,8 @@ def test_direct_compact_tree_equals_collapsed_simple_tree_random(data):
 def test_intervals_hold_exactly_the_subtree_leaves():
     for sigma, n_max in ((2, 8), (3, 5)):
         for n in range(1, n_max + 1):
-            for s in all_strings(n, sigma):
+            for symbols in enumerate_strings(n, sigma):
+                s = Str(symbols, Alphabet(sigma))
                 assert_intervals_hold_subtree_leaves(build_compact_tree(s))
 
 
