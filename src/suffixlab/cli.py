@@ -13,6 +13,10 @@ from pathlib import Path
 from . import counting, experiments, trees
 from .strings import from_text
 
+#: Largest simple tree `tree` builds; at about 290 bytes a node this is
+#: over 1 GB, and simple_tree_size reads the size before any is built.
+MAX_SIMPLE_TREE_NODES = 1 << 22
+
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -112,7 +116,16 @@ def _emit_rows(args: argparse.Namespace, row_type, rows, **wrapper) -> None:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     s = from_text(args.text, args.sigma)
-    tree = trees.build_compact_tree(s) if args.compact else trees.build_suffix_tree(s)
+    if args.compact:
+        tree = trees.build_compact_tree(s)
+    else:
+        nodes = trees.simple_tree_size(s)
+        if nodes > MAX_SIMPLE_TREE_NODES:
+            raise ValueError(
+                f"simple tree of {len(s)} symbols needs {nodes} nodes, "
+                f"cap is {MAX_SIMPLE_TREE_NODES}; use --compact"
+            )
+        tree = trees.build_suffix_tree(s)
     if args.dot:
         _emit(trees.to_dot(tree), args.out)
     else:

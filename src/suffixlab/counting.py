@@ -6,16 +6,17 @@ by two independent routes: growth_histogram enumerates every string, and
 growth_counts sums over prefix autocorrelation classes without
 enumerating any. Both refuse sizes above an explicit budget before
 doing any work.
+
+numpy (for the brute-force oracle) and the process pool (for
+growth_histogram with several workers) are imported where they are
+used, so importing this module costs neither.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-
-import numpy as np
 
 from .strings import enumerate_strings
 
@@ -98,6 +99,8 @@ def count_aperiodic_bruteforce(j: int, sigma: int, budget: int = DEFAULT_BUDGET)
     on numpy blocks of _BRUTEFORCE_BLOCK strings. Exists to cross-check
     count_aperiodic.
     """
+    import numpy as np
+
     if j < 1:
         raise ValueError(f"length must be at least 1, got {j}")
     if sigma < 1:
@@ -184,6 +187,8 @@ def growth_histogram(
     if workers == 1:
         hists = [_growth_histogram_range(n, sigma, 0, total)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_growth_histogram_range, n, sigma, lo, hi)

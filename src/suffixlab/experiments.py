@@ -4,7 +4,8 @@ the one-shot verification sweep behind `suffixlab verify`.
 
 Sampling uses numpy's PCG64 generator. The algorithm is fixed and its
 output stream documented, so a seed pins the sampled strings on every
-platform; Monte Carlo commands are therefore byte-reproducible.
+platform; Monte Carlo commands are therefore byte-reproducible. numpy is
+imported by new_rng, so commands that never sample do not load it.
 """
 
 from __future__ import annotations
@@ -16,16 +17,19 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, Mapping, get_args, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, get_args, get_type_hints
 
 from . import counting, trees
 from .strings import Alphabet, Str, enumerate_strings, from_text
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def new_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator for all experiment sampling."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -207,6 +211,8 @@ def rows_from_json(row_type, text: str):
 
 def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
     """Aperiodic-string counts for j = 1..max_j."""
+    if max_j < 1:
+        raise ValueError(f"max_j must be at least 1, got {max_j}")
     return [
         CountRow(sigma, j, None, counting.count_aperiodic(j, sigma)) for j in range(1, max_j + 1)
     ]
@@ -214,6 +220,8 @@ def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
 
 def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
     """Growth-count bounds for k = 1..max_k."""
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
     return [
         CountRow(sigma, None, k, counting.growth_bound(k, sigma)) for k in range(1, max_k + 1)
     ]
@@ -363,7 +371,7 @@ def expected_size(config: ExperimentConfig) -> list[SizeRow]:
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     rows = []
-    rng = new_rng(config.seed)
+    rng = new_rng(config.seed) if config.mode == "montecarlo" else None
     for n in n_list:
         if config.mode == "exhaustive":
             exact = exact_expected_size(n, config.sigma, budget=config.budget)

@@ -1,8 +1,14 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from suffixlab import cli
+import suffixlab
+from suffixlab import cli, trees
 from suffixlab.experiments import (
     CountRow,
     ExpectationRow,
@@ -11,6 +17,7 @@ from suffixlab.experiments import (
     rows_from_csv,
     rows_from_json,
 )
+from suffixlab.strings import from_text
 
 
 def run_cli(args, capsys):
@@ -80,6 +87,78 @@ def test_omega_budget_error_exits_2(capsys):
     code, _, err = run_cli(["omega", "--sigma", "2", "--n", "30"], capsys)
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+@pytest.mark.parametrize("command,flag", [("mu", "--max-j"), ("phi", "--max-k")])
+def test_count_table_bound_below_one_exits_2(command, flag, bound, fmt, capsys):
+    code, out, err = run_cli([command, flag, bound, "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"must be at least 1, got {bound}" in err
+
+
+def test_simple_tree_over_the_cap_exits_2_before_building(monkeypatch, capsys):
+    text = "".join(random.Random(0).choices("abcd", k=3000))
+    nodes = trees.simple_tree_size(from_text(text))
+    assert nodes > cli.MAX_SIMPLE_TREE_NODES
+
+    def refuse(s):
+        raise AssertionError("the simple tree was built")
+
+    monkeypatch.setattr(trees, "build_suffix_tree", refuse)
+    code, out, err = run_cli(["tree", text], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"needs {nodes} nodes, cap is {cli.MAX_SIMPLE_TREE_NODES}" in err
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from suffixlab import cli
+
+LAZY = ("numpy", "concurrent.futures.process")
+report = []
+
+def record(label):
+    report.append([label, [m for m in LAZY if m in sys.modules]])
+
+cli.build_parser()
+record("build_parser")
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    record(" ".join(args) + f" -> {code}")
+print(json.dumps(report))
+"""
+
+
+def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
+    commands = [
+        ["omega", "--n", "8"],
+        ["tree", "aabccb"],
+        ["search", "aabccb", "b"],
+        ["mu", "--max-j", "5"],
+        ["phi", "--max-k", "5"],
+        ["growth", "abcdefabcdab"],
+        ["expect-size", "--mode", "exhaustive", "--n-list", "1,2,4,8"],
+        # last, the one command here that samples
+        ["expect-size", "--n-list", "8", "--samples", "5"],
+    ]
+    src = str(Path(suffixlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    report = json.loads(proc.stdout)
+    assert [label for label, _ in report] == ["build_parser"] + [
+        " ".join(args) + " -> 0" for args in commands
+    ]
+    for label, loaded in report[:-1]:
+        assert loaded == [], label
+    assert report[-1][1] == ["numpy"]
 
 
 def test_bad_input_text_exits_2(capsys):

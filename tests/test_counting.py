@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -161,7 +162,9 @@ def test_growth_histogram_worker_invariance():
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the process pool by one that runs each call at once in this
-    process; the returned lists record pool sizes and call arguments."""
+    process; the returned lists record pool sizes and call arguments.
+    growth_histogram looks the pool class up in concurrent.futures only
+    when it starts a pool, so the patch goes there."""
     record = {"sizes": [], "calls": []}
 
     class InlinePool:
@@ -180,7 +183,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return record
 
 
