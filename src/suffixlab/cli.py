@@ -29,7 +29,7 @@ def _common_flags() -> argparse.ArgumentParser:
         default=counting.DEFAULT_BUDGET,
         help="max strings an exhaustive sweep may enumerate",
     )
-    common.add_argument("--workers", type=int, default=1, help="parallel workers for enumeration")
+    common.add_argument("--workers", type=int, default=1, help="at least 1; no command runs workers today")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
     common.add_argument("--out", type=Path, default=None, help="write output to this file instead of stdout")
     return common
@@ -94,6 +94,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _config(args: argparse.Namespace, n: int | None = None, n_list=()) -> experiments.ExperimentConfig:
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     return experiments.ExperimentConfig(
         sigma=args.sigma if args.sigma is not None else 2,
         n=n,
@@ -102,7 +104,6 @@ def _config(args: argparse.Namespace, n: int | None = None, n_list=()) -> experi
         seed=args.seed,
         mode=getattr(args, "mode", "montecarlo"),
         budget=args.budget,
-        workers=args.workers,
     )
 
 

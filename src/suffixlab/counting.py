@@ -7,14 +7,12 @@ growth_counts sums over prefix autocorrelation classes without
 enumerating any. Both refuse sizes above an explicit budget before
 doing any work.
 
-numpy (for the brute-force oracle) and the process pool (for
-growth_histogram with several workers) are imported where they are
-used, so importing this module costs neither.
+numpy, which only the brute-force oracle uses, is imported there, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -150,30 +148,9 @@ def growth_bound_prefix_sum(m: int, sigma: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _growth_histogram_range(n: int, sigma: int, start: int, stop: int) -> list[int]:
-    """Histogram of growth over the lexicographic range [start, stop) of
-    length-n strings. hist[k] counts strings with growth k."""
-    hist = [0] * (n + 1)
-    for symbols in enumerate_strings(n, sigma, start, stop):
-        hist[growth_of_digits(symbols)] += 1
-    return hist
-
-
-def growth_histogram(
-    n: int,
-    sigma: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> dict[int, int]:
-    """Exact counts {k: number of length-n strings with growth k} for k = 1..n.
-
-    The sigma^n strings are enumerated exhaustively, split into `workers`
-    contiguous lexicographic ranges. The merged result is identical for
-    any worker count because the ranges partition the string space, so
-    `workers` is capped at the CPUs this process may run on: a process
-    pool starts all its workers at once, and workers beyond the CPUs add
-    only start-up cost.
-    """
+def growth_histogram(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+    """Exact counts {k: number of length-n strings with growth k} for k = 1..n,
+    by enumerating all sigma^n strings."""
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     if sigma < 1:
@@ -181,25 +158,10 @@ def growth_histogram(
     total = sigma**n
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    workers = max(1, min(workers, total, len(os.sched_getaffinity(0))))
-    bounds = [total * w // workers for w in range(workers + 1)]
-    ranges = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-    if workers == 1:
-        hists = [_growth_histogram_range(n, sigma, 0, total)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_growth_histogram_range, n, sigma, lo, hi)
-                for lo, hi in ranges
-            ]
-            hists = [f.result() for f in futures]
-    merged = [0] * (n + 1)
-    for hist in hists:
-        for k, c in enumerate(hist):
-            merged[k] += c
-    return {k: merged[k] for k in range(1, n + 1)}
+    hist = [0] * (n + 1)
+    for symbols in enumerate_strings(n, sigma):
+        hist[growth_of_digits(symbols)] += 1
+    return {k: hist[k] for k in range(1, n + 1)}
 
 
 def count_with_growth(n: int, k: int, sigma: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -359,7 +321,6 @@ def check_growth_bound(
     k_max: int,
     n_max: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> GrowthBoundReport:
     """Compare exhaustive growth counts against growth_bound.
 
@@ -372,7 +333,7 @@ def check_growth_bound(
     report = GrowthBoundReport(sigma=sigma)
     bounds = {k: growth_bound(k, sigma) for k in range(1, k_max + 1)}
     for n in range(2, n_max + 1):
-        hist = growth_histogram(n, sigma, budget=budget, workers=workers)
+        hist = growth_histogram(n, sigma, budget=budget)
         if sum(hist.values()) != sigma**n:
             report.partition_failures.append(n)
         if growth_counts(n, sigma, budget=budget) != hist:

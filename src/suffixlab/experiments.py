@@ -10,6 +10,7 @@ imported by new_rng, so commands that never sample do not load it.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import statistics
@@ -52,7 +53,6 @@ class ExperimentConfig:
     seed: int = 1
     mode: str = "montecarlo"
     budget: int = counting.DEFAULT_BUDGET
-    workers: int = 1
 
     def validate(self) -> None:
         if self.sigma < 2:
@@ -61,8 +61,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "montecarlo" and self.samples < 1:
             raise ValueError("montecarlo mode needs at least one sample")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +229,7 @@ def growth_count_table(config: ExperimentConfig) -> list[GrowthCountRow]:
     """Exact growth counts for every k = 1..n, next to their bounds.
 
     The counts come from counting.growth_counts, which enumerates no
-    strings, so config.workers plays no part; config.budget still refuses
-    sigma^n above it.
+    strings; config.budget still refuses sigma^n above it.
     """
     config.validate()
     if config.n is None:
@@ -408,7 +405,7 @@ def expected_size(config: ExperimentConfig) -> list[SizeRow]:
 
 
 # ---------------------------------------------------------------------------
-# Verification sweep
+# Verification sweep: one registry of checks, shared with the acceptance gate
 # ---------------------------------------------------------------------------
 
 
@@ -437,7 +434,21 @@ class VerificationReport:
         return out
 
 
-def _check_reference_table() -> CheckResult:
+@dataclass(frozen=True)
+class Check:
+    """One named correctness check. `run` returns (ok, detail); its keyword
+    defaults are the sizes `verify` runs it at, and callers may pass larger
+    ones."""
+
+    name: str
+    run: Callable[..., tuple[bool, str]]
+
+    def __call__(self, **sizes) -> CheckResult:
+        ok, detail = self.run(**sizes)
+        return CheckResult(self.name, ok, detail)
+
+
+def _reference_table() -> tuple[bool, str]:
     discrepancies = counting.reference_table_discrepancies()
     unknown = [d for d in discrepancies if not d.known]
     events = sorted({d.errata for d in discrepancies if d.known})
@@ -447,15 +458,14 @@ def _check_reference_table() -> CheckResult:
     shift_ok = row2 == tuple(mu(j, 2) for j in (1, 3, 4, 5, 6, 7, 8, 9))
     digit_ok = counting.REFERENCE_APERIODIC_TABLE[3][7] * 10 == mu(8, 3)
     ok = not unknown and shift_ok and digit_ok and len(events) == 2
-    detail = (
+    return ok, (
         f"{len(discrepancies)} mismatching cells, all explained by errata {events}"
         if ok
         else f"{len(unknown)} unexplained mismatches: {unknown[:4]}"
     )
-    return CheckResult("aperiodic-reference-table", ok, detail)
 
 
-def _check_prime_power() -> CheckResult:
+def _prime_power_closed_form() -> tuple[bool, str]:
     bad = []
     for q in range(2, 33):
         # prime powers q = p^t
@@ -471,14 +481,10 @@ def _check_prime_power() -> CheckResult:
             if counting.aperiodic_prime_power(p, t, sigma) != counting.count_aperiodic(q, sigma):
                 bad.append((p, t, sigma))
     ok = not bad
-    return CheckResult(
-        "prime-power-closed-form",
-        ok,
-        "matches the recurrence for all prime powers <= 32, sigma 2..5" if ok else f"failures: {bad}",
-    )
+    return ok, "matches the recurrence for all prime powers <= 32, sigma 2..5" if ok else f"failures: {bad}"
 
 
-def _check_aperiodic_bounds() -> CheckResult:
+def _aperiodic_count_bounds() -> tuple[bool, str]:
     bad = []
     for sigma in range(2, 7):
         for j in range(1, 21):
@@ -488,14 +494,12 @@ def _check_aperiodic_bounds() -> CheckResult:
             if mu < sigma * (sigma - 1) ** (j - 1):
                 bad.append(("lower", sigma, j))
     ok = not bad
-    return CheckResult(
-        "aperiodic-count-bounds",
-        ok,
-        "sigma^j - sigma above, sigma(sigma-1)^(j-1) below, sigma 2..6, j 1..20" if ok else f"failures: {bad}",
+    return ok, (
+        "sigma^j - sigma above, sigma(sigma-1)^(j-1) below, sigma 2..6, j 1..20" if ok else f"failures: {bad}"
     )
 
 
-def _check_growth_bound_cap() -> CheckResult:
+def _growth_bound_caps() -> tuple[bool, str]:
     bad = []
     for sigma in range(2, 6):
         for k in range(1, 21):
@@ -505,14 +509,14 @@ def _check_growth_bound_cap() -> CheckResult:
             if counting.growth_bound_prefix_sum(m, sigma) > (m + 1) * sigma ** (m + 1):
                 bad.append(("prefix", sigma, m))
     ok = not bad
-    return CheckResult(
-        "growth-bound-caps",
-        ok,
-        "bound <= k*sigma^k and prefix sums <= (m+1)*sigma^(m+1), sigma 2..5, up to 20" if ok else f"failures: {bad}",
+    return ok, (
+        "bound <= k*sigma^k and prefix sums <= (m+1)*sigma^(m+1), sigma 2..5, up to 20" if ok else f"failures: {bad}"
     )
 
 
-def _check_aperiodic_bruteforce(limit: int = 1 << 16) -> CheckResult:
+def _aperiodic_bruteforce(*, limit: int = 1 << 16) -> tuple[bool, str]:
+    """Enumeration against the recurrence for every sigma in (2, 3) and
+    every length j with sigma^j <= limit."""
     bad = []
     pairs = 0
     for sigma in (2, 3):
@@ -523,33 +527,27 @@ def _check_aperiodic_bruteforce(limit: int = 1 << 16) -> CheckResult:
                 bad.append((sigma, j))
             j += 1
     ok = not bad
-    return CheckResult(
-        "aperiodic-bruteforce",
-        ok,
-        f"enumeration matches the recurrence on {pairs} (sigma, j) pairs" if ok else f"failures: {bad}",
-    )
+    return ok, f"enumeration matches the recurrence on {pairs} (sigma, j) pairs" if ok else f"failures: {bad}"
 
 
-def _check_growth_count_bound(budget: int, workers: int) -> CheckResult:
+def _growth_count_bound(*, budget: int = counting.DEFAULT_BUDGET) -> tuple[bool, str]:
     reports = [
-        counting.check_growth_bound(2, k_max=5, n_max=12, budget=budget, workers=workers),
-        counting.check_growth_bound(3, k_max=3, n_max=7, budget=budget, workers=workers),
+        counting.check_growth_bound(2, k_max=5, n_max=12, budget=budget),
+        counting.check_growth_bound(3, k_max=3, n_max=7, budget=budget),
     ]
     bad = [row for rep in reports for row in rep.violations]
     partition_bad = [(rep.sigma, n) for rep in reports for n in rep.partition_failures]
     route_bad = [(rep.sigma, n) for rep in reports for n in rep.route_failures]
     ok = not bad and not partition_bad and not route_bad
     checked = sum(len(rep.rows) for rep in reports)
-    return CheckResult(
-        "growth-count-bound",
-        ok,
+    return ok, (
         f"count <= bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
         if ok
-        else f"violations: {bad[:4]} partition failures: {partition_bad} route failures: {route_bad}",
+        else f"violations: {bad[:4]} partition failures: {partition_bad} route failures: {route_bad}"
     )
 
 
-def _check_growth_ground_truth() -> CheckResult:
+def _growth_ground_truth() -> tuple[bool, str]:
     cases = [("aabccb", 5), ("abcdefabcdab", 8)]
     bad = []
     for text, expected in cases:
@@ -559,14 +557,10 @@ def _check_growth_ground_truth() -> CheckResult:
         if via_tree != expected or via_lcp != expected:
             bad.append((text, expected, via_tree, via_lcp))
     ok = not bad
-    return CheckResult(
-        "growth-ground-truth",
-        ok,
-        "growth(aabccb)=5 and growth(abcdefabcdab)=8 by both routes" if ok else f"failures: {bad}",
-    )
+    return ok, "growth(aabccb)=5 and growth(abcdefabcdab)=8 by both routes" if ok else f"failures: {bad}"
 
 
-def _check_figure_trees() -> CheckResult:
+def _reference_trees() -> tuple[bool, str]:
     s = from_text("aabccb")
     naive = trees.build_suffix_tree(s)
     compact = trees.build_compact_tree(s)
@@ -579,20 +573,21 @@ def _check_figure_trees() -> CheckResult:
         and sorted(compact.edge_labels()) == expected_labels
         and same
     )
-    detail = (
+    return ok, (
         "simple tree of aabccb has 25 nodes; compact tree has 10 nodes with the expected labels "
         "and equals the collapsed simple tree"
         if ok
         else f"nodes {naive.node_count}/{compact.node_count}, labels {sorted(compact.edge_labels())}, "
         f"equals the collapsed simple tree: {same}"
     )
-    return CheckResult("reference-trees", ok, detail)
 
 
-def _check_tree_identities() -> CheckResult:
+def _tree_identities(*, sizes: tuple[tuple[int, int], ...] = ((2, 10), (3, 7))) -> tuple[bool, str]:
+    """Every string of length 2..n_max over sigma symbols, for each
+    (sigma, n_max) in sizes."""
     bad = []
     strings = 0
-    for sigma, n_max in ((2, 10), (3, 7)):
+    for sigma, n_max in sizes:
         alphabet = Alphabet(sigma)
         for n in range(2, n_max + 1):
             for symbols in enumerate_strings(n, sigma):
@@ -613,31 +608,34 @@ def _check_tree_identities() -> CheckResult:
                 if 1 in map(len, compact.children[1:]):  # a unary node below the root
                     bad.append(("compact-degree", str(s)))
     ok = not bad
-    return CheckResult(
-        "tree-identities",
-        ok,
+    return ok, (
         f"growth routes agree, node counts match the growth-sum form and compact trees "
         f"equal the collapsed simple tree on {strings} strings"
         if ok
-        else f"failures: {bad[:4]}",
+        else f"failures: {bad[:4]}"
     )
 
 
-def _check_search(seed: int) -> CheckResult:
+def _search_vs_scan(
+    *, seed: int = 1, strings: int = 20, n_max: int = 60, patterns: int = 10, pattern_max: int = 8
+) -> tuple[bool, str]:
+    """For sigma in (2, 4), `strings` random strings of length 2..n_max,
+    each searched for `patterns` patterns of length 1..pattern_max: half
+    cut from the string, half random."""
     rng = new_rng(seed)
     bad = []
     pairs = 0
     built = 0
     for sigma in (2, 4):
-        for _ in range(20):
-            n = int(rng.integers(2, 61))
+        for _ in range(strings):
+            n = int(rng.integers(2, n_max + 1))
             s = random_string(n, sigma, rng)
             tree = trees.build_compact_tree(s)
             built += 1
             if tree.layout() != trees.compact_tree_via_simple(s).layout():
                 bad.append((str(s), "compact-oracle"))
-            for _ in range(10):
-                plen = int(rng.integers(1, min(n, 8) + 1))
+            for _ in range(patterns):
+                plen = int(rng.integers(1, min(n, pattern_max) + 1))
                 if rng.integers(0, 2) == 0:
                     start = int(rng.integers(1, n - plen + 2))
                     pattern = s.sub(start, start + plen - 1)
@@ -647,32 +645,40 @@ def _check_search(seed: int) -> CheckResult:
                 if trees.find_occurrences(tree, pattern) != trees.scan_occurrences(s, pattern):
                     bad.append((str(s), str(pattern)))
     ok = not bad
-    return CheckResult(
-        "search-vs-scan",
-        ok,
+    return ok, (
         f"tree search equals direct scan on {pairs} pairs and the {built} compact trees "
         f"equal the collapsed simple tree"
         if ok
-        else f"failures: {bad[:4]}",
+        else f"failures: {bad[:4]}"
     )
 
 
+#: Every check `verify` runs, in the order it prints them.
+CHECKS = (
+    Check("aperiodic-reference-table", _reference_table),
+    Check("prime-power-closed-form", _prime_power_closed_form),
+    Check("aperiodic-count-bounds", _aperiodic_count_bounds),
+    Check("growth-bound-caps", _growth_bound_caps),
+    Check("aperiodic-bruteforce", _aperiodic_bruteforce),
+    Check("growth-count-bound", _growth_count_bound),
+    Check("growth-ground-truth", _growth_ground_truth),
+    Check("reference-trees", _reference_trees),
+    Check("tree-identities", _tree_identities),
+    Check("search-vs-scan", _search_vs_scan),
+)
+
+
 def run_verification(config: ExperimentConfig | None = None) -> VerificationReport:
-    """All desk-scale correctness checks in one sweep.
+    """Every check in CHECKS at its default sizes, with the config's seed
+    and budget given to the checks that take them.
 
     Mathematical violations show up as failed checks (the CLI maps them
     to a nonzero exit), never as exceptions; budget problems raise.
     """
     config = config or ExperimentConfig()
+    settings = {"seed": config.seed, "budget": config.budget}
     report = VerificationReport()
-    report.checks.append(_check_reference_table())
-    report.checks.append(_check_prime_power())
-    report.checks.append(_check_aperiodic_bounds())
-    report.checks.append(_check_growth_bound_cap())
-    report.checks.append(_check_aperiodic_bruteforce())
-    report.checks.append(_check_growth_count_bound(config.budget, config.workers))
-    report.checks.append(_check_growth_ground_truth())
-    report.checks.append(_check_figure_trees())
-    report.checks.append(_check_tree_identities())
-    report.checks.append(_check_search(config.seed))
+    for check in CHECKS:
+        takes = inspect.signature(check.run).parameters
+        report.checks.append(check(**{k: v for k, v in settings.items() if k in takes}))
     return report

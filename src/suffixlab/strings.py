@@ -10,7 +10,7 @@ tuples and one growth kernel over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 #: Sentinel symbol appended (conceptually) to every suffix. Outside all alphabets.
@@ -161,17 +161,10 @@ def is_aperiodic(s: Str) -> bool:
     return minimal_period(s) == len(s)
 
 
-def enumerate_strings(
-    n: int, sigma: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Symbol tuples of every length-n string over 1..sigma, in
-    lexicographic order, from the start-th (0-based) up to but excluding
-    the stop-th; stop=None runs to the last of the sigma^n strings.
-
-    The first start strings are still stepped over, in C, at a small
-    fraction of the cost of any per-string work in Python.
-    """
-    return islice(product(range(1, sigma + 1), repeat=n), start, stop)
+def enumerate_strings(n: int, sigma: int) -> Iterator[tuple[int, ...]]:
+    """Symbol tuples of all sigma^n length-n strings over 1..sigma, in
+    lexicographic order."""
+    return product(range(1, sigma + 1), repeat=n)
 
 
 def growth_of_symbols(symbols: Sequence[int]) -> int:

@@ -1,177 +1,97 @@
 """Acceptance gate: one test per criterion, each printing its own PASS line.
 
+Criteria 01-09 and 13 run the checks of `suffixlab verify`
+(experiments.CHECKS), some at larger sizes than verify uses; criteria
+10-12 are the Monte Carlo criteria, which verify does not run.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import contextlib
+import inspect
+import io
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from suffixlab import counting
-from suffixlab.counting import (
-    aperiodic_prime_power,
-    check_growth_bound,
-    count_aperiodic,
-    count_aperiodic_bruteforce,
-    growth_bound,
-    growth_bound_prefix_sum,
-    growth_histogram,
-)
+from suffixlab import cli
 from suffixlab.experiments import (
+    CHECKS,
     ExpectationRow,
     ExperimentConfig,
-    SizeRow,
     exact_expected_growth,
     expected_growth,
     expected_size,
-    new_rng,
-    random_string,
     rows_to_csv,
 )
-from suffixlab.strings import Alphabet, Str, enumerate_strings, from_text
-from suffixlab.trees import (
-    build_compact_tree,
-    build_suffix_tree,
-    find_occurrences,
-    growth_sum_identity,
-    growth_via_lcp,
-    growth_via_tree,
-    scan_occurrences,
-)
+
+CHECK = {check.name: check for check in CHECKS}
+
+#: criterion -> (registry check, sizes it runs at beyond verify's, wall-time bound in s or None)
+GATE = {
+    1: ("aperiodic-reference-table", {}, 1.0),
+    2: ("aperiodic-bruteforce", {"limit": 1 << 20}, 30.0),
+    3: ("prime-power-closed-form", {}, None),
+    4: ("aperiodic-count-bounds", {}, None),
+    5: ("growth-count-bound", {}, 60.0),
+    6: ("growth-bound-caps", {}, None),
+    7: ("growth-ground-truth", {}, None),
+    8: ("tree-identities", {"sizes": ((2, 12),)}, 60.0),
+    9: ("reference-trees", {}, None),
+    13: ("search-vs-scan", {"seed": 99, "strings": 50, "n_max": 200, "patterns": 100, "pattern_max": 12}, None),
+}
 
 
 def _report(num, detail):
     print(f"\nACCEPTANCE {num:02d} PASS: {detail}")
 
 
-def test_criterion_01_aperiodic_golden_table():
+def _gate(num):
+    name, sizes, bound = GATE[num]
     t0 = time.perf_counter()
-    for sigma in (3, 4, 5):
-        row = counting.REFERENCE_APERIODIC_TABLE[sigma]
-        for j, published in enumerate(row, start=1):
-            computed = count_aperiodic(j, sigma)
-            if (sigma, j) == (3, 8):
-                assert published == 648 and computed == 6480
-            else:
-                assert computed == published, (sigma, j, published, computed)
-    assert [count_aperiodic(j, 2) for j in range(1, 9)] == [2, 2, 6, 12, 30, 54, 126, 240]
-    for j in range(1, 9):
-        assert count_aperiodic_bruteforce(j, 2) == count_aperiodic(j, 2)
+    result = CHECK[name](**sizes)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    _report(
-        1,
-        "recurrence matches reference counts for sigma 3..5 except the documented "
-        f"(sigma=3, j=8) cell; sigma=2 row verified by recurrence and enumeration ({elapsed:.2f}s)",
-    )
+    assert result.ok, result.line()
+    assert bound is None or elapsed < bound, (name, elapsed)
+    _report(num, f"{name}: {result.detail} ({elapsed:.1f}s)")
+    return result
+
+
+def test_criterion_01_aperiodic_golden_table():
+    _gate(1)
 
 
 def test_criterion_02_bruteforce_aperiodic_oracle():
-    t0 = time.perf_counter()
-    checked = 0
-    for sigma in (2, 3):
-        j = 1
-        while sigma**j <= 1 << 20:
-            assert count_aperiodic_bruteforce(j, sigma) == count_aperiodic(j, sigma), (sigma, j)
-            checked += 1
-            j += 1
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 30.0
-    _report(2, f"exhaustive enumeration equals the recurrence on {checked} (sigma, j) pairs ({elapsed:.1f}s)")
+    _gate(2)
 
 
 def test_criterion_03_prime_power_closed_form():
-    checked = 0
-    for q in range(2, 33):
-        p = min(d for d in range(2, q + 1) if q % d == 0)
-        t, m = 0, q
-        while m % p == 0:
-            m //= p
-            t += 1
-        if m != 1:
-            continue
-        for sigma in range(2, 6):
-            assert aperiodic_prime_power(p, t, sigma) == count_aperiodic(q, sigma), (p, t, sigma)
-            checked += 1
-    _report(3, f"closed form equals the recurrence for all {checked} (prime power <= 32, sigma) pairs")
+    _gate(3)
 
 
 def test_criterion_04_aperiodic_count_bounds():
-    for sigma in range(2, 7):
-        for j in range(1, 21):
-            mu = count_aperiodic(j, sigma)
-            if j > 1:
-                assert mu <= sigma**j - sigma, ("upper", sigma, j)
-            assert mu >= sigma * (sigma - 1) ** (j - 1), ("lower", sigma, j)
-    _report(4, "upper and lower aperiodic-count bounds hold exactly for sigma 2..6, j 1..20")
+    _gate(4)
 
 
 def test_criterion_05_growth_counts_below_bound():
-    t0 = time.perf_counter()
-    reports = [
-        check_growth_bound(2, k_max=5, n_max=12),
-        check_growth_bound(3, k_max=3, n_max=7),
-    ]
-    rows = 0
-    for report in reports:
-        assert report.ok, (report.violations[:3], report.partition_failures)
-        rows += len(report.rows)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    _report(
-        5,
-        f"exhaustive counts stay below the bound on {rows} (n, k) pairs and every "
-        f"histogram sums to sigma^n ({elapsed:.1f}s)",
-    )
+    _gate(5)
 
 
 def test_criterion_06_bound_cap_and_prefix_sums():
-    for sigma in range(2, 6):
-        for k in range(1, 21):
-            assert growth_bound(k, sigma) <= k * sigma**k, (sigma, k)
-        for m in range(1, 21):
-            assert growth_bound_prefix_sum(m, sigma) <= (m + 1) * sigma ** (m + 1), (sigma, m)
-    _report(6, "growth bounds capped by k*sigma^k and prefix sums by (m+1)*sigma^(m+1), sigma 2..5, up to 20")
+    _gate(6)
 
 
 def test_criterion_07_growth_ground_truth():
-    for text, expected in (("aabccb", 5), ("abcdefabcdab", 8)):
-        s = from_text(text)
-        assert growth_via_tree(s) == expected, text
-        assert growth_via_lcp(s) == expected, text
-    _report(7, "growth(aabccb)=5 and growth(abcdefabcdab)=8 via both the tree and the scan")
+    _gate(7)
 
 
 def test_criterion_08_oracle_equivalence_and_node_identity():
-    t0 = time.perf_counter()
-    strings = 0
-    for n in range(1, 13):
-        for symbols in enumerate_strings(n, 2):
-            s = Str(symbols, Alphabet(2))
-            strings += 1
-            assert growth_via_tree(s) == growth_via_lcp(s), str(s)
-            if n == 1:
-                assert build_suffix_tree(s).node_count == 2 + n
-            else:
-                assert growth_sum_identity(s).equal, str(s)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
-    _report(
-        8,
-        f"growth routes agree and node counts equal the growth-sum form on all "
-        f"{strings} binary strings up to length 12, zero exceptions ({elapsed:.1f}s)",
-    )
+    _gate(8)
 
 
 def test_criterion_09_reference_figures():
-    s = from_text("aabccb")
-    naive = build_suffix_tree(s)
-    compact = build_compact_tree(s)
-    assert naive.node_count == 25
-    assert compact.node_count == 10
-    expected = sorted(["c", "b", "a", "b$", "cb$", "ccb$", "$", "bccb$", "abccb$"])
-    assert sorted(compact.edge_labels()) == expected
-    _report(9, "simple tree of aabccb has 25 nodes, compact tree 10 nodes with the exact edge-label multiset")
+    _gate(9)
 
 
 def test_criterion_10_quadratic_mean_size():
@@ -214,33 +134,36 @@ def test_criterion_12_determinism_and_worker_invariance():
     csv_a = rows_to_csv(ExpectationRow, expected_growth(config_a))
     csv_b = rows_to_csv(ExpectationRow, expected_growth(config_b))
     assert csv_a == csv_b
-    size_a = rows_to_csv(SizeRow, expected_size(ExperimentConfig(sigma=2, n_list=(32,), samples=50, seed=8)))
-    size_b = rows_to_csv(SizeRow, expected_size(ExperimentConfig(sigma=2, n_list=(32,), samples=50, seed=8)))
-    assert size_a == size_b
-    base = growth_histogram(10, 2, workers=1)
-    for workers in (2, 8):
-        assert growth_histogram(10, 2, workers=workers) == base
-    _report(12, "seeded commands emit byte-identical CSV and worker counts 1, 2, 8 give identical tables")
+    outputs = []
+    for workers in ("1", "2"):
+        args = ["expect-size", "--n-list", "32", "--samples", "50", "--seed", "8", "--workers", workers]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(args) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    _report(12, "seeded commands emit byte-identical CSV, and expect-size's is the same for --workers 1 and 2")
 
 
 def test_criterion_13_search_equals_scan():
-    t0 = time.perf_counter()
-    rng = new_rng(99)
-    pairs = 0
-    for sigma in (2, 4):
-        for _ in range(50):
-            n = int(rng.integers(2, 201))
-            s = random_string(n, sigma, rng)
-            tree = build_compact_tree(s)
-            for _ in range(100):
-                plen = int(rng.integers(1, min(n, 12) + 1))
-                if rng.integers(0, 2) == 0:
-                    start = int(rng.integers(1, n - plen + 2))
-                    pattern = s.sub(start, start + plen - 1)
-                else:
-                    pattern = random_string(plen, sigma, rng)
-                assert find_occurrences(tree, pattern) == scan_occurrences(s, pattern)
-                pairs += 1
-    elapsed = time.perf_counter() - t0
-    assert pairs == 10_000
-    _report(13, f"tree search equals the direct scan on {pairs} random (string, pattern) pairs ({elapsed:.1f}s)")
+    assert "on 10000 pairs" in _gate(13).detail
+
+
+# ---------------------------------------------------------------------------
+# the gate and the registry
+# ---------------------------------------------------------------------------
+
+
+def test_each_registered_check_has_a_unique_name_and_one_criterion():
+    names = [check.name for check in CHECKS]
+    assert len(set(names)) == len(names)
+    assert sorted(name for name, _, _ in GATE.values()) == sorted(names)
+
+
+def test_size_overrides_are_parameters_of_their_check():
+    for name, sizes, _ in GATE.values():
+        assert set(sizes) <= set(inspect.signature(CHECK[name].run).parameters), name
+
+
+def test_registry_order_is_the_order_verify_prints():
+    golden = (Path(__file__).parent / "golden" / "verify_seed1.txt").read_text().splitlines()
+    assert [line.split(":")[0].split()[1] for line in golden[:-1]] == list(CHECK)

@@ -1,6 +1,3 @@
-import concurrent.futures
-from concurrent.futures import Future
-
 import pytest
 
 from suffixlab import cli, counting
@@ -151,58 +148,6 @@ def test_growth_histogram_budget_error_reports_required():
     with pytest.raises(EnumerationBudgetError) as err:
         growth_histogram(30, 2)
     assert err.value.required == 2**30
-
-
-def test_growth_histogram_worker_invariance():
-    base = growth_histogram(8, 2, workers=1)
-    assert growth_histogram(8, 2, workers=2) == base
-    assert growth_histogram(8, 2, workers=3) == base
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the process pool by one that runs each call at once in this
-    process; the returned lists record pool sizes and call arguments.
-    growth_histogram looks the pool class up in concurrent.futures only
-    when it starts a pool, so the patch goes there."""
-    record = {"sizes": [], "calls": []}
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            record["sizes"].append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            record["calls"].append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return record
-
-
-def test_growth_histogram_caps_workers_at_usable_cpus(monkeypatch, inline_pool):
-    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1})
-    assert growth_histogram(8, 2, workers=3) == growth_histogram(8, 2, workers=1)
-    assert inline_pool["sizes"] == [2]
-
-
-def test_growth_histogram_ranges_enumerate_every_string_once_in_order(monkeypatch, inline_pool):
-    n, sigma = 5, 3
-    monkeypatch.setattr(counting.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    growth_histogram(n, sigma, workers=4)
-    ranges = [(lo, hi) for _, _, lo, hi in inline_pool["calls"]]
-    assert len(ranges) == 4
-    strings = [t for lo, hi in ranges for t in enumerate_strings(n, sigma, lo, hi)]
-    assert len(strings) == sigma**n
-    assert strings == sorted(set(strings))
-    assert all(len(t) == n and set(t) <= set(range(1, sigma + 1)) for t in strings)
 
 
 @pytest.mark.parametrize("sigma,n_max", [(1, 6), (2, 14), (3, 9), (4, 7), (5, 5)])

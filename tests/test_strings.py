@@ -128,6 +128,13 @@ def test_minimal_period_divides_length(n):
         assert n % minimal_period(s) == 0
 
 
+def test_enumerate_strings_lists_every_string_once_in_order():
+    strings = list(enumerate_strings(5, 3))
+    assert len(strings) == 3**5
+    assert strings == sorted(set(strings))
+    assert all(len(t) == 5 and set(t) <= {1, 2, 3} for t in strings)
+
+
 def test_repeating_an_aperiodic_block_sets_the_period():
     # brute force over binary strings up to length 12
     for n in range(2, 13):
