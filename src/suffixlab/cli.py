@@ -18,70 +18,74 @@ from .strings import from_text
 MAX_SIMPLE_TREE_NODES = 1 << 22
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--sigma", type=int, default=None, help="alphabet size (default: inferred or 2)")
-    common.add_argument("--seed", type=int, default=1, help="RNG seed for sampled commands")
-    common.add_argument("--samples", type=int, default=1000, help="Monte Carlo sample count")
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=counting.DEFAULT_BUDGET,
-        help="max strings an exhaustive sweep may enumerate",
-    )
-    common.add_argument("--workers", type=int, default=1, help="at least 1; no command runs workers today")
-    common.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
-    common.add_argument("--out", type=Path, default=None, help="write output to this file instead of stdout")
-    return common
+#: The flags more than one subcommand takes; each subcommand names its own.
+#: --workers does nothing; it stays where the benchmark's argv passes it.
+FLAGS = {
+    "--sigma": dict(type=int, default=None, help="alphabet size (default: inferred or 2)"),
+    "--seed": dict(type=int, default=1, help="RNG seed for sampled commands"),
+    "--samples": dict(type=int, default=1000, help="Monte Carlo sample count"),
+    "--budget": dict(
+        type=int, default=counting.DEFAULT_BUDGET, help="max strings an exhaustive sweep may enumerate"
+    ),
+    "--workers": dict(type=int, default=1, help="at least 1; no command runs workers today"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="table output format"),
+    "--out": dict(type=Path, default=None, help="write output to this file instead of stdout"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="suffixlab",
         description="Suffix trees, growth statistics, and aperiodic-string counting experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tree", parents=[common], help="build a suffix tree, print a stats line or DOT")
+    def command(name, func, flags, help, **defaults) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = command("tree", cmd_tree, "--sigma --out", "build a suffix tree, print a stats line or DOT")
     p.add_argument("text", help="input string over a..z")
     p.add_argument("--compact", action="store_true", help="build the compact tree")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of the stats line")
-    p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("growth", parents=[common], help="growth of a string")
+    p = command("growth", cmd_growth, "--sigma --out", "growth of a string")
     p.add_argument("text", help="input string over a..z")
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("mu", parents=[common], help="aperiodic-string counts for j = 1..max-j")
+    p = command("mu", cmd_mu, "--sigma --format --out", "aperiodic-string counts for j = 1..max-j", sigma=2)
     p.add_argument("--max-j", type=int, required=True)
-    p.set_defaults(func=cmd_mu)
 
-    p = sub.add_parser("phi", parents=[common], help="growth-count bounds for k = 1..max-k")
+    p = command("phi", cmd_phi, "--sigma --format --out", "growth-count bounds for k = 1..max-k", sigma=2)
     p.add_argument("--max-k", type=int, required=True)
-    p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("omega", parents=[common], help="exhaustive growth counts for one n")
+    p = command(
+        "omega", cmd_omega, "--sigma --budget --workers --format --out",
+        "exhaustive growth counts for one n", sigma=2,
+    )
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_omega)
 
-    p = sub.add_parser("verify", parents=[common], help="run every desk-scale correctness check")
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "--seed --budget --workers --out", "run every desk-scale correctness check")
 
-    p = sub.add_parser("expect-growth", parents=[common], help="mean growth of random strings")
+    p = command(
+        "expect-growth", cmd_expect_growth, "--sigma --seed --samples --budget --format --out",
+        "mean growth of random strings", sigma=2,
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("montecarlo", "exhaustive"), default="montecarlo")
-    p.set_defaults(func=cmd_expect_growth)
 
-    p = sub.add_parser("expect-size", parents=[common], help="mean simple-tree size of random strings")
+    p = command(
+        "expect-size", cmd_expect_size, "--sigma --seed --samples --budget --workers --format --out",
+        "mean simple-tree size of random strings", sigma=2,
+    )
     p.add_argument("--n-list", type=str, required=True, help="comma-separated lengths, ascending")
     p.add_argument("--mode", choices=("montecarlo", "exhaustive"), default="montecarlo")
-    p.set_defaults(func=cmd_expect_size)
 
-    p = sub.add_parser("search", parents=[common], help="all occurrences of a pattern")
+    p = command("search", cmd_search, "--sigma --out", "all occurrences of a pattern")
     p.add_argument("text", help="string to index, over a..z")
     p.add_argument("pattern", help="pattern to look up, over a..z")
-    p.set_defaults(func=cmd_search)
 
     return parser
 
@@ -91,20 +95,6 @@ def _emit(text: str, out: Path | None) -> None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
-
-
-def _config(args: argparse.Namespace, n: int | None = None, n_list=()) -> experiments.ExperimentConfig:
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
-    return experiments.ExperimentConfig(
-        sigma=args.sigma if args.sigma is not None else 2,
-        n=n,
-        n_list=tuple(n_list),
-        samples=args.samples,
-        seed=args.seed,
-        mode=getattr(args, "mode", "montecarlo"),
-        budget=args.budget,
-    )
 
 
 def _emit_rows(args: argparse.Namespace, row_type, rows, **wrapper) -> None:
@@ -141,28 +131,25 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
-    sigma = args.sigma if args.sigma is not None else 2
-    rows = experiments.aperiodic_table(sigma, args.max_j)
-    _emit_rows(args, experiments.CountRow, rows, kind="aperiodic", sigma=sigma)
+    rows = experiments.aperiodic_table(args.sigma, args.max_j)
+    _emit_rows(args, experiments.CountRow, rows, kind="aperiodic", sigma=args.sigma)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
-    sigma = args.sigma if args.sigma is not None else 2
-    rows = experiments.growth_bound_table(sigma, args.max_k)
-    _emit_rows(args, experiments.CountRow, rows, kind="growth_bound", sigma=sigma)
+    rows = experiments.growth_bound_table(args.sigma, args.max_k)
+    _emit_rows(args, experiments.CountRow, rows, kind="growth_bound", sigma=args.sigma)
     return 0
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    config = _config(args, n=args.n)
-    _emit_rows(args, experiments.GrowthCountRow, experiments.growth_count_table(config))
+    rows = experiments.growth_count_table(args.n, args.sigma, budget=args.budget)
+    _emit_rows(args, experiments.GrowthCountRow, rows)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config(args)
-    report = experiments.run_verification(config)
+    report = experiments.run_verification(seed=args.seed, budget=args.budget)
     text = "\n".join(report.lines()) + "\n"
     _emit(text, args.out)
     if args.out is not None:
@@ -171,24 +158,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_expect_growth(args: argparse.Namespace) -> int:
-    config = _config(args, n=args.n)
-    _emit_rows(args, experiments.ExpectationRow, experiments.expected_growth(config))
+    rows = experiments.expected_growth(
+        args.n, args.sigma, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
+    )
+    _emit_rows(args, experiments.ExpectationRow, rows)
     return 0
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad n-list {text!r}, expected comma-separated integers")
-    if not values:
-        raise ValueError("n-list is empty")
-    return values
 
 
 def cmd_expect_size(args: argparse.Namespace) -> int:
-    config = _config(args, n_list=_parse_n_list(args.n_list))
-    _emit_rows(args, experiments.SizeRow, experiments.expected_size(config))
+    rows = experiments.expected_size(
+        _parse_n_list(args.n_list), args.sigma,
+        mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget,
+    )
+    _emit_rows(args, experiments.SizeRow, rows)
     return 0
 
 
@@ -207,6 +196,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("workers must be at least 1")
         return args.func(args)
     except counting.EnumerationBudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, get_args, get_type_hints
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, get_args, get_type_hints
 
 from . import counting, trees
 from .strings import Alphabet, Str, enumerate_strings, from_text
@@ -44,23 +44,17 @@ def random_string(n: int, sigma: int, rng: np.random.Generator) -> Str:
     return Str(tuple(int(x) for x in symbols), Alphabet(sigma))
 
 
-@dataclass
-class ExperimentConfig:
-    sigma: int = 2
-    n: int | None = None
-    n_list: tuple[int, ...] = ()
-    samples: int = 1000
-    seed: int = 1
-    mode: str = "montecarlo"
-    budget: int = counting.DEFAULT_BUDGET
+def _check_sigma(sigma: int) -> None:
+    if sigma < 2:
+        raise ValueError(f"experiments need sigma >= 2, got {sigma}")
 
-    def validate(self) -> None:
-        if self.sigma < 2:
-            raise ValueError(f"experiments need sigma >= 2, got {self.sigma}")
-        if self.mode not in ("montecarlo", "exhaustive"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "montecarlo" and self.samples < 1:
-            raise ValueError("montecarlo mode needs at least one sample")
+
+def _check_sampling(sigma: int, mode: str, samples: int) -> None:
+    _check_sigma(sigma)
+    if mode not in ("montecarlo", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "montecarlo" and samples < 1:
+        raise ValueError("montecarlo mode needs at least one sample")
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +219,20 @@ def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
     ]
 
 
-def growth_count_table(config: ExperimentConfig) -> list[GrowthCountRow]:
+def growth_count_table(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> list[GrowthCountRow]:
     """Exact growth counts for every k = 1..n, next to their bounds.
 
     The counts come from counting.growth_counts, which enumerates no
-    strings; config.budget still refuses sigma^n above it.
+    strings; budget still refuses sigma^n above it.
     """
-    config.validate()
-    if config.n is None:
-        raise ValueError("growth-count table needs n")
-    n = config.n
-    hist = counting.growth_counts(n, config.sigma, budget=config.budget)
+    _check_sigma(sigma)
+    hist = counting.growth_counts(n, sigma, budget=budget)
     rows = []
     for k in range(1, n + 1):
-        bound = counting.growth_bound(k, config.sigma)
+        bound = counting.growth_bound(k, sigma)
         rows.append(
             GrowthCountRow(
-                sigma=config.sigma,
+                sigma=sigma,
                 n=n,
                 k=k,
                 count=hist[k],
@@ -267,7 +258,10 @@ def exact_expected_growth(n: int, sigma: int, budget: int = counting.DEFAULT_BUD
     return Fraction(total, sigma**n)
 
 
-def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
+def expected_growth(
+    n: int, sigma: int, *,
+    mode: str = "montecarlo", samples: int = 1000, seed: int = 1, budget: int = counting.DEFAULT_BUDGET,
+) -> list[ExpectationRow]:
     """Estimate the mean growth of length-n strings.
 
     Exhaustive mode enumerates every string and reports the exact mean.
@@ -281,13 +275,9 @@ def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
     Both regimes estimate the same expectation; the second matches the
     prepend-a-random-symbol construction and has lower variance.
     """
-    config.validate()
-    if config.n is None:
-        raise ValueError("expected-growth needs n")
-    n = config.n
-    sigma = config.sigma
-    if config.mode == "exhaustive":
-        exact = exact_expected_growth(n, sigma, budget=config.budget)
+    _check_sampling(sigma, mode, samples)
+    if mode == "exhaustive":
+        exact = exact_expected_growth(n, sigma, budget=budget)
         return [
             ExpectationRow(
                 sigma=sigma,
@@ -300,14 +290,14 @@ def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
                 mean_exact=exact,
             )
         ]
-    rng = new_rng(config.seed)
+    rng = new_rng(seed)
     alphabet = Alphabet(sigma)
     uniform_vals = []
-    for _ in range(config.samples):
+    for _ in range(samples):
         s = random_string(n, sigma, rng)
         uniform_vals.append(trees.growth_via_lcp(s))
     prefix_vals = []
-    for _ in range(config.samples):
+    for _ in range(samples):
         if n == 1:
             tail: tuple[int, ...] = ()
         else:
@@ -325,7 +315,7 @@ def expected_growth(config: ExperimentConfig) -> list[ExpectationRow]:
                 n=n,
                 mode="montecarlo",
                 regime=regime,
-                samples=config.samples,
+                samples=samples,
                 mean=mean,
                 stderr=stderr,
             )
@@ -355,29 +345,31 @@ def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGE
     )
 
 
-def expected_size(config: ExperimentConfig) -> list[SizeRow]:
+def expected_size(
+    n_list: Sequence[int], sigma: int, *,
+    mode: str = "montecarlo", samples: int = 1000, seed: int = 1, budget: int = counting.DEFAULT_BUDGET,
+) -> list[SizeRow]:
     """Mean simple-tree node count for each n in n_list, with mean/n^2.
 
     Every sample is counted by simple_tree_size in O(n), so no quadratic
     tree is built; the counts equal build_suffix_tree(s).node_count exactly.
     """
-    config.validate()
-    n_list = config.n_list or ((config.n,) if config.n else ())
+    _check_sampling(sigma, mode, samples)
     if not n_list:
         raise ValueError("expected-size needs at least one n")
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     rows = []
-    rng = new_rng(config.seed) if config.mode == "montecarlo" else None
+    rng = new_rng(seed) if mode == "montecarlo" else None
     for n in n_list:
-        if config.mode == "exhaustive":
-            exact = exact_expected_size(n, config.sigma, budget=config.budget)
+        if mode == "exhaustive":
+            exact = exact_expected_size(n, sigma, budget=budget)
             rows.append(
                 SizeRow(
-                    sigma=config.sigma,
+                    sigma=sigma,
                     n=n,
                     mode="exhaustive",
-                    samples=config.sigma**n,
+                    samples=sigma**n,
                     mean=float(exact),
                     stderr=0.0,
                     mean_over_n2=float(exact / n**2),
@@ -386,16 +378,16 @@ def expected_size(config: ExperimentConfig) -> list[SizeRow]:
             )
             continue
         vals = []
-        for _ in range(config.samples):
-            s = random_string(n, config.sigma, rng)
+        for _ in range(samples):
+            s = random_string(n, sigma, rng)
             vals.append(trees.simple_tree_size(s))
         mean, stderr = _mean_stderr(vals)
         rows.append(
             SizeRow(
-                sigma=config.sigma,
+                sigma=sigma,
                 n=n,
                 mode="montecarlo",
-                samples=config.samples,
+                samples=samples,
                 mean=mean,
                 stderr=stderr,
                 mean_over_n2=mean / n**2,
@@ -466,20 +458,14 @@ def _reference_table() -> tuple[bool, str]:
 
 
 def _prime_power_closed_form() -> tuple[bool, str]:
-    bad = []
-    for q in range(2, 33):
-        # prime powers q = p^t
-        p = min(d for d in range(2, q + 1) if q % d == 0)
-        t = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            t += 1
-        if m != 1:
-            continue
-        for sigma in range(2, 6):
-            if counting.aperiodic_prime_power(p, t, sigma) != counting.count_aperiodic(q, sigma):
-                bad.append((p, t, sigma))
+    # every prime power p^t <= 32; 2^5 = 32 is the largest exponent
+    powers = [(p, t) for p in range(2, 33) if counting.is_prime(p) for t in range(1, 6) if p**t <= 32]
+    bad = [
+        (p, t, sigma)
+        for p, t in powers
+        for sigma in range(2, 6)
+        if counting.aperiodic_prime_power(p, t, sigma) != counting.count_aperiodic(p**t, sigma)
+    ]
     ok = not bad
     return ok, "matches the recurrence for all prime powers <= 32, sigma 2..5" if ok else f"failures: {bad}"
 
@@ -668,15 +654,14 @@ CHECKS = (
 )
 
 
-def run_verification(config: ExperimentConfig | None = None) -> VerificationReport:
-    """Every check in CHECKS at its default sizes, with the config's seed
-    and budget given to the checks that take them.
+def run_verification(seed: int = 1, budget: int = counting.DEFAULT_BUDGET) -> VerificationReport:
+    """Every check in CHECKS at its default sizes, with seed and budget
+    given to the checks that take them.
 
     Mathematical violations show up as failed checks (the CLI maps them
     to a nonzero exit), never as exceptions; budget problems raise.
     """
-    config = config or ExperimentConfig()
-    settings = {"seed": config.seed, "budget": config.budget}
+    settings = {"seed": seed, "budget": budget}
     report = VerificationReport()
     for check in CHECKS:
         takes = inspect.signature(check.run).parameters

@@ -29,45 +29,20 @@ class Alphabet:
         if self.size < 1:
             raise ValueError(f"alphabet size must be at least 1, got {self.size}")
 
-    @property
-    def terminator(self) -> int:
-        return TERMINATOR
-
-    @property
-    def is_degenerate(self) -> bool:
-        """Single-symbol alphabets are constructible but useless for experiments."""
-        return self.size < 2
-
-    def __contains__(self, symbol: int) -> bool:
-        return 1 <= symbol <= self.size
-
 
 @dataclass(frozen=True)
 class Str:
     """Immutable symbol sequence over an Alphabet.
 
-    Indexing is 1-based throughout: ``s.at(1)`` is the first symbol and
-    ``s.sub(i, j)`` is the inclusive substring from i to j.
+    Indexing is 1-based throughout: ``s.sub(i, j)`` is the inclusive
+    substring from i to j, so ``s.sub(1, 1)`` is the first symbol.
     """
 
     symbols: tuple[int, ...]
     alphabet: Alphabet
 
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
-
-    def at(self, i: int) -> int:
-        """Symbol at 1-based position i."""
-        if not 1 <= i <= len(self.symbols):
-            raise ValueError(f"index {i} out of range 1..{len(self.symbols)}")
-        return self.symbols[i - 1]
 
     def sub(self, i: int, j: int) -> "Str":
         return substring(self, i, j)

@@ -19,7 +19,6 @@ from suffixlab import cli
 from suffixlab.experiments import (
     CHECKS,
     ExpectationRow,
-    ExperimentConfig,
     exact_expected_growth,
     expected_growth,
     expected_size,
@@ -96,8 +95,7 @@ def test_criterion_09_reference_figures():
 
 def test_criterion_10_quadratic_mean_size():
     t0 = time.perf_counter()
-    config = ExperimentConfig(sigma=2, n_list=(64, 128, 256), samples=200, seed=1)
-    rows = expected_size(config)
+    rows = expected_size((64, 128, 256), 2, samples=200, seed=1)
     ratios = [row.mean_over_n2 for row in rows]
     for row in rows:
         assert row.mean_over_n2 >= 0.40, (row.n, row.mean_over_n2)
@@ -111,8 +109,7 @@ def test_criterion_10_quadratic_mean_size():
 
 def test_criterion_11_mean_growth_is_linear():
     t0 = time.perf_counter()
-    config = ExperimentConfig(sigma=2, n=256, samples=1000, seed=1)
-    rows = expected_growth(config)
+    rows = expected_growth(256, 2, samples=1000, seed=1)
     assert [row.regime for row in rows] == ["uniform", "prefix"]
     for row in rows:
         assert row.mean / 256 >= 0.5, (row.regime, row.mean)
@@ -129,10 +126,8 @@ def test_criterion_11_mean_growth_is_linear():
 
 
 def test_criterion_12_determinism_and_worker_invariance():
-    config_a = ExperimentConfig(sigma=2, n=64, samples=100, seed=33)
-    config_b = ExperimentConfig(sigma=2, n=64, samples=100, seed=33)
-    csv_a = rows_to_csv(ExpectationRow, expected_growth(config_a))
-    csv_b = rows_to_csv(ExpectationRow, expected_growth(config_b))
+    csv_a = rows_to_csv(ExpectationRow, expected_growth(64, 2, samples=100, seed=33))
+    csv_b = rows_to_csv(ExpectationRow, expected_growth(64, 2, samples=100, seed=33))
     assert csv_a == csv_b
     outputs = []
     for workers in ("1", "2"):

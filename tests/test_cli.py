@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -32,31 +33,10 @@ def test_tree_stats_line(capsys):
     assert out == "n=6 sigma=3 nodes=25 internal=19 leaves=6 growth=5\n"
 
 
-def test_tree_compact_dot(capsys):
-    code, out, _ = run_cli(["tree", "aabccb", "--compact", "--dot"], capsys)
-    assert code == 0
-    assert out.startswith("digraph suffixtree {")
-    assert 'label="abccb$"' in out
-
-
-def test_tree_dot_is_deterministic(capsys):
-    _, first, _ = run_cli(["tree", "abcabc", "--dot"], capsys)
-    _, second, _ = run_cli(["tree", "abcabc", "--dot"], capsys)
-    assert first == second
-
-
 def test_growth_command(capsys):
     code, out, _ = run_cli(["growth", "abcdefabcdab"], capsys)
     assert code == 0
     assert out == "8\n"
-
-
-def test_mu_table_csv(capsys):
-    code, out, _ = run_cli(["mu", "--sigma", "3", "--max-j", "8"], capsys)
-    assert code == 0
-    counts = {row.j_or_n: row.value for row in rows_from_csv(CountRow, out)}
-    assert counts[8] == 6480
-    assert counts[1] == 3
 
 
 def test_mu_table_json(capsys):
@@ -161,10 +141,66 @@ def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
     assert report[-1][1] == ["numpy"]
 
 
+#: Every subcommand's options: the shared flags of cli.FLAGS it takes, then its own.
+OPTIONS = {
+    "tree": "--sigma --out --compact --dot",
+    "growth": "--sigma --out",
+    "search": "--sigma --out",
+    "mu": "--sigma --format --out --max-j",
+    "phi": "--sigma --format --out --max-k",
+    "omega": "--sigma --budget --workers --format --out --n",
+    "verify": "--seed --budget --workers --out",
+    "expect-growth": "--sigma --seed --samples --budget --format --out --n --mode",
+    "expect-size": "--sigma --seed --samples --budget --workers --format --out --n-list --mode",
+}
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_subcommand_takes_only_the_flags_it_reads(command):
+    parsers = subcommands()
+    assert set(parsers) == set(OPTIONS)
+    declared = {opt for action in parsers[command]._actions for opt in action.option_strings}
+    declared -= {"-h", "--help"}
+    assert declared == set(OPTIONS[command].split())
+
+
 @pytest.mark.parametrize(
     "args",
-    [["omega", "--n", "4"], ["expect-growth", "--n", "4"], ["expect-size", "--n-list", "4"], ["verify"]],
+    [
+        ["tree", "aabccb", "--format", "json"],
+        ["growth", "ab", "--budget", "5"],
+        ["search", "ab", "a", "--seed", "3"],
+        ["mu", "--max-j", "2", "--workers", "0"],
+        ["phi", "--max-k", "2", "--samples", "5"],
+        ["omega", "--n", "4", "--samples", "5"],
+        ["verify", "--sigma", "3"],
+        ["expect-growth", "--n", "4", "--workers", "1"],
+    ],
 )
+def test_flag_the_command_does_not_read_exits_2(args, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(args)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: " + " ".join(args[-2:]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["omega", "--n", "4", "--sigma", "1"], "experiments need sigma >= 2, got 1"),
+        (["expect-size", "--n-list", "4", "--samples", "0"], "montecarlo mode needs at least one sample"),
+    ],
+)
+def test_refused_value_exits_2(args, message, capsys):
+    assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [["omega", "--n", "4"], ["expect-size", "--n-list", "4"], ["verify"]])
 def test_workers_below_one_exits_2(args, capsys):
     code, out, err = run_cli(args + ["--workers", "0"], capsys)
     assert code == 2
@@ -204,17 +240,6 @@ def test_expect_growth_exhaustive(capsys):
     (row,) = rows_from_csv(ExpectationRow, out)
     assert row.mean == 1.5
     assert str(row.mean_exact) == "3/2"
-
-
-def test_expect_growth_seeded_output_is_byte_identical(tmp_path, capsys):
-    args = ["expect-growth", "--sigma", "2", "--n", "32", "--samples", "50", "--seed", "9"]
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    assert cli.main(args + ["--out", str(first)]) == 0
-    assert cli.main(args + ["--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
-    rows = rows_from_csv(ExpectationRow, first.read_text())
-    assert [row.regime for row in rows] == ["uniform", "prefix"]
 
 
 def test_expect_size_table(tmp_path):

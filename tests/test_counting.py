@@ -14,7 +14,7 @@ from suffixlab.counting import (
     growth_histogram,
     proper_divisors,
 )
-from suffixlab.experiments import ExperimentConfig, growth_count_table
+from suffixlab.experiments import growth_count_table
 from suffixlab.strings import Alphabet, Str, enumerate_strings, is_aperiodic
 
 
@@ -182,8 +182,7 @@ def test_growth_counts_partition_and_top_count_beyond_enumeration(sigma, n_max):
 
 
 def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
-    config = ExperimentConfig(sigma=2, n=12)
-    rows = growth_count_table(config)
+    rows = growth_count_table(12, 2)
     assert cli.main(["omega", "--sigma", "2", "--n", "12"]) == 0
     printed = capsys.readouterr().out
     assert [row.count for row in rows] == [growth_histogram(12, 2)[k] for k in range(1, 13)]
@@ -192,7 +191,7 @@ def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
         raise AssertionError("omega must not enumerate strings")
 
     monkeypatch.setattr(counting, "growth_of_digits", no_enumeration)
-    assert growth_count_table(config) == rows
+    assert growth_count_table(12, 2) == rows
     assert cli.main(["omega", "--sigma", "2", "--n", "12"]) == 0
     assert capsys.readouterr().out == printed
 

@@ -10,7 +10,6 @@ from suffixlab.experiments import (
     CHECKS,
     CountRow,
     ExpectationRow,
-    ExperimentConfig,
     GrowthCountRow,
     SizeRow,
     exact_expected_growth,
@@ -49,19 +48,25 @@ def test_random_string_symbol_frequencies():
     samples = 100_000
     counts = dict.fromkeys(range(1, 5), 0)
     for _ in range(samples):
-        counts[random_string(1, 4, rng).at(1)] += 1
+        counts[random_string(1, 4, rng).symbols[0]] += 1
     sd = math.sqrt(samples * 0.25 * 0.75)
     for sym, count in counts.items():
         assert abs(count - samples / 4) <= 4 * sd, (sym, count)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(sigma=1).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="sometimes").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(samples=0).validate()
+def test_functions_refuse_the_values_they_read():
+    cases = [
+        (lambda: growth_count_table(4, 1), "experiments need sigma >= 2, got 1"),
+        (lambda: expected_growth(4, 1), "experiments need sigma >= 2, got 1"),
+        (lambda: expected_size((4,), 1), "experiments need sigma >= 2, got 1"),
+        (lambda: expected_growth(4, 2, mode="sometimes"), "unknown mode 'sometimes'"),
+        (lambda: expected_size((4,), 2, mode="sometimes"), "unknown mode 'sometimes'"),
+        (lambda: expected_growth(4, 2, samples=0), "montecarlo mode needs at least one sample"),
+        (lambda: expected_size((4,), 2, samples=0), "montecarlo mode needs at least one sample"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +89,7 @@ def test_exact_expected_growth_tiny():
 
 
 def test_expected_growth_exhaustive_row():
-    config = ExperimentConfig(sigma=2, n=2, mode="exhaustive")
-    (row,) = expected_growth(config)
+    (row,) = expected_growth(2, 2, mode="exhaustive")
     assert row.mean == 1.5
     assert row.mean_exact == Fraction(3, 2)
     assert row.stderr == 0.0
@@ -93,8 +97,7 @@ def test_expected_growth_exhaustive_row():
 
 
 def test_expected_growth_montecarlo_has_both_regimes():
-    config = ExperimentConfig(sigma=2, n=12, samples=50, seed=5)
-    rows = expected_growth(config)
+    rows = expected_growth(12, 2, samples=50, seed=5)
     assert [row.regime for row in rows] == ["uniform", "prefix"]
     for row in rows:
         assert 1 <= row.mean <= 12
@@ -103,14 +106,12 @@ def test_expected_growth_montecarlo_has_both_regimes():
 
 def test_montecarlo_matches_exhaustive_within_three_stderr():
     exact = float(exact_expected_growth(10, 2))
-    config = ExperimentConfig(sigma=2, n=10, samples=100_000, seed=20240)
-    for row in expected_growth(config):
+    for row in expected_growth(10, 2, samples=100_000, seed=20240):
         assert abs(row.mean - exact) <= 3 * row.stderr, (row.regime, row.mean, exact)
 
 
 def test_expected_growth_single_symbol_string():
-    config = ExperimentConfig(sigma=2, n=1, samples=10, seed=1)
-    rows = expected_growth(config)
+    rows = expected_growth(1, 2, samples=10, seed=1)
     assert all(row.mean == 1.0 for row in rows)
 
 
@@ -144,16 +145,14 @@ def test_exact_expected_size_tiny():
 
 
 def test_expected_size_exhaustive_row():
-    config = ExperimentConfig(sigma=2, n_list=(2,), mode="exhaustive")
-    (row,) = expected_size(config)
+    (row,) = expected_size((2,), 2, mode="exhaustive")
     assert row.mean == 5.5
     assert row.mean_exact == Fraction(11, 2)
     assert row.mean_over_n2 == 5.5 / 4
 
 
 def test_expected_size_montecarlo_rows():
-    config = ExperimentConfig(sigma=2, n_list=(8, 16), samples=30, seed=9)
-    rows = expected_size(config)
+    rows = expected_size((8, 16), 2, samples=30, seed=9)
     assert [row.n for row in rows] == [8, 16]
     for row in rows:
         assert row.mean > row.n  # more nodes than leaves
@@ -162,20 +161,18 @@ def test_expected_size_montecarlo_rows():
 
 @pytest.mark.parametrize("mode", ["montecarlo", "exhaustive"])
 def test_expected_size_builds_no_tree(mode, monkeypatch):
-    config = ExperimentConfig(sigma=2, n_list=(4, 6), samples=30, seed=5, mode=mode)
-    expected = expected_size(config)
+    expected = expected_size((4, 6), 2, mode=mode, samples=30, seed=5)
 
     def no_tree(s):
         raise AssertionError("expected_size must not build the simple tree")
 
     monkeypatch.setattr(trees, "build_suffix_tree", no_tree)
-    assert expected_size(config) == expected
+    assert expected_size((4, 6), 2, mode=mode, samples=30, seed=5) == expected
 
 
 def test_expected_size_requires_ascending_lengths():
-    config = ExperimentConfig(sigma=2, n_list=(16, 8), samples=5)
-    with pytest.raises(ValueError):
-        expected_size(config)
+    with pytest.raises(ValueError, match="ascending"):
+        expected_size((16, 8), 2, samples=5)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +181,19 @@ def test_expected_size_requires_ascending_lengths():
 
 
 def test_growth_count_table_n2():
-    rows = growth_count_table(ExperimentConfig(sigma=2, n=2))
+    rows = growth_count_table(2, 2)
     assert [(row.k, row.count) for row in rows] == [(1, 2), (2, 2)]
 
 
 def test_growth_count_table_partitions():
-    rows = growth_count_table(ExperimentConfig(sigma=2, n=4))
+    rows = growth_count_table(4, 2)
     assert sum(row.count for row in rows) == 16
     assert all(row.holds for row in rows if row.n_ge_2k)
 
 
 def test_growth_count_table_budget_error():
     with pytest.raises(counting.EnumerationBudgetError):
-        growth_count_table(ExperimentConfig(sigma=2, n=30))
+        growth_count_table(30, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +251,6 @@ def test_n_list_text_parses_back(values):
 def test_csv_rejects_wrong_header():
     with pytest.raises(ValueError):
         rows_from_csv(SizeRow, "nope\n1,2\n")
-
-
-def test_seeded_runs_emit_identical_csv():
-    def emit():
-        rows = expected_growth(ExperimentConfig(sigma=2, n=24, samples=40, seed=77))
-        return rows_to_csv(ExpectationRow, rows)
-
-    assert emit() == emit()
 
 
 # ---------------------------------------------------------------------------
