@@ -164,13 +164,6 @@ def growth_histogram(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[i
     return {k: hist[k] for k in range(1, n + 1)}
 
 
-def count_with_growth(n: int, k: int, sigma: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of length-n strings over sigma symbols with growth exactly k."""
-    if not 1 <= k <= n:
-        raise ValueError(f"growth {k} out of range 1..{n}")
-    return growth_counts(n, sigma, budget=budget)[k]
-
-
 # ---------------------------------------------------------------------------
 # Growth counts by autocorrelation classes
 # ---------------------------------------------------------------------------

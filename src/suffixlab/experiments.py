@@ -1,5 +1,5 @@
 """Experiment drivers: seeded sampling, expectation estimates, count and
-growth-count tables with the one CSV/JSON serializer of their rows, and
+growth-count tables with the one CSV/JSON writer of their rows, and
 the one-shot verification sweep behind `suffixlab verify`.
 
 Sampling uses numpy's PCG64 generator. The algorithm is fixed and its
@@ -16,9 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cache
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, get_args, get_type_hints
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import counting, trees
 from .strings import Alphabet, Str, enumerate_strings, from_text
@@ -58,7 +56,7 @@ def _check_sampling(sigma: int, mode: str, samples: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Row types and their one text serializer (CSV and JSON share the cells)
+# Row types and their one text writer (CSV and JSON share the cells)
 # ---------------------------------------------------------------------------
 
 
@@ -114,8 +112,7 @@ class SizeRow:
     mean_exact: Fraction | None = None
 
 
-#: Cell text by the type of the value: floats via repr, so parsing returns
-#: the identical value, and exact fractions as p/q.
+#: Cell text by the type of the value: floats via repr, exact fractions as p/q.
 _ENCODE = {
     int: str,
     str: str,
@@ -126,57 +123,19 @@ _ENCODE = {
 }
 
 
-def _parse_bool(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"not a boolean cell: {cell!r}")
-    return cell == "true"
-
-
-_PARSE = {int: int, str: str, bool: _parse_bool, float: float, Fraction: Fraction}
-
-
-def _parser(annotation) -> Callable[[str], object]:
-    """Cell parser for a field annotation; `X | None` reads an empty cell as None."""
-    args = get_args(annotation)
-    if type(None) not in args:
-        return _PARSE[annotation]
-    (base,) = (a for a in args if a is not type(None))
-    parse = _PARSE[base]
-    return lambda cell: parse(cell) if cell else None
-
-
-@cache
-def _parsers(row_type) -> Mapping[str, Callable[[str], object]]:
-    """Cell parser of every field of a row dataclass, in field order."""
-    hints = get_type_hints(row_type)
-    return MappingProxyType({f.name: _parser(hints[f.name]) for f in fields(row_type)})
-
-
 def _cell(value) -> str:
     return _ENCODE[type(value)](value)
 
 
 def _row_dicts(row_type, rows) -> list[dict[str, str]]:
-    names = list(_parsers(row_type))
+    names = [f.name for f in fields(row_type)]
     return [{name: _cell(getattr(row, name)) for name in names} for row in rows]
 
 
-def _parse_row(row_type, cells: list[str]):
-    pairs = zip(_parsers(row_type).items(), cells, strict=True)
-    return row_type(**{name: parse(cell) for (name, parse), cell in pairs})
-
-
 def rows_to_csv(row_type, rows) -> str:
-    lines = [",".join(_parsers(row_type))]
+    lines = [",".join(f.name for f in fields(row_type))]
     lines.extend(",".join(cells.values()) for cells in _row_dicts(row_type, rows))
     return "\n".join(lines) + "\n"
-
-
-def rows_from_csv(row_type, text: str):
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != ",".join(_parsers(row_type)):
-        raise ValueError(f"missing header for {row_type.__name__}")
-    return [_parse_row(row_type, line.split(",")) for line in lines[1:]]
 
 
 def rows_to_json(row_type, rows, **wrapper) -> str:
@@ -186,14 +145,6 @@ def rows_to_json(row_type, rows, **wrapper) -> str:
     if wrapper:
         payload = {**wrapper, "rows": payload}
     return json.dumps(payload, indent=2) + "\n"
-
-
-def rows_from_json(row_type, text: str):
-    """Rows from rows_to_json output, with or without wrapper fields."""
-    payload = json.loads(text)
-    if isinstance(payload, dict):
-        payload = payload["rows"]
-    return [_parse_row(row_type, [item[name] for name in _parsers(row_type)]) for item in payload]
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +287,8 @@ def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGE
     enumerated; sigma^n above the budget is still refused, and it bounds
     every shorter L too.
     """
+    if n < 1:
+        raise ValueError(f"length must be at least 1, got {n}")
     required = sigma**n
     if required > budget:
         raise counting.EnumerationBudgetError(required, budget)

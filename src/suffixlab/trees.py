@@ -46,7 +46,6 @@ class TreeBase:
         self.children: list[dict[int, int]] = [{}]
         self.parent: list[int] = [-1]
         self.leaves: dict[int, int] = {}
-        self._leaf_numbers: dict[int, int] = {}
 
     @property
     def node_count(self) -> int:
@@ -59,9 +58,6 @@ class TreeBase:
     @property
     def internal_count(self) -> int:
         return self.node_count - self.leaf_count
-
-    def leaf_number(self, node: int) -> int | None:
-        return self._leaf_numbers.get(node)
 
     def sorted_children(self, node: int) -> list[tuple[int, int]]:
         """(symbol, child) pairs, plain symbols ascending, terminator last."""
@@ -179,7 +175,6 @@ def build_suffix_tree(s: Str) -> SuffixTree:
         parent.append(v)
         edge_symbol.append(TERMINATOR)
         tree.leaves[j0 + 1] = leaf
-        tree._leaf_numbers[leaf] = j0 + 1
     return tree
 
 
@@ -383,7 +378,6 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
         children[u][head[i]] = v
     tree.suffix_array = list(map((1).__add__, sa))
     tree.leaves = dict(zip(tree.suffix_array, cid[:n]))
-    tree._leaf_numbers = dict(zip(cid[:n], tree.suffix_array))
     return tree
 
 
@@ -405,7 +399,7 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
 
     tree = CompactSuffixTree(s)
     children, parent, span = tree.children, tree.parent, tree.span
-    has_terminator, leaves, leaf_numbers = tree.has_terminator, tree.leaves, tree._leaf_numbers
+    has_terminator, leaves = tree.has_terminator, tree.leaves
     stack = [(naive.root, tree.root, 0)]  # (simple node, compact node, symbol depth)
     while stack:
         nv, cv, depth = stack.pop()
@@ -425,7 +419,6 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
             children[cv][sym] = c
             if term:
                 leaves[rep[node]] = c
-                leaf_numbers[c] = rep[node]
             else:
                 stack.append((node, c, depth + count))
 
@@ -581,10 +574,9 @@ def to_dot(tree: SuffixTree | CompactSuffixTree) -> str:
     """Deterministic DOT rendering; children in symbol order, leaves
     labelled with their suffix numbers."""
     lines = ["digraph suffixtree {", "  node [shape=circle];"]
+    suffix_of_leaf = {leaf: j for j, leaf in tree.leaves.items()}
     for v in range(tree.node_count):
-        j = tree.leaf_number(v)
-        label = "" if j is None else str(j)
-        lines.append(f'  n{v} [label="{label}"];')
+        lines.append(f'  n{v} [label="{suffix_of_leaf.get(v, "")}"];')
     for v in range(tree.node_count):
         for _, child in tree.sorted_children(v):
             lines.append(f'  n{v} -> n{child} [label="{tree.edge_label(child)}"];')

@@ -7,7 +7,6 @@ from suffixlab.counting import (
     check_growth_bound,
     count_aperiodic,
     count_aperiodic_bruteforce,
-    count_with_growth,
     growth_bound,
     growth_bound_prefix_sum,
     growth_counts,
@@ -127,7 +126,6 @@ def test_bruteforce_budget():
 
 def test_growth_histogram_two_binary():
     assert growth_histogram(2, 2) == {1: 2, 2: 2}
-    assert count_with_growth(2, 2, 2) == 2
 
 
 @pytest.mark.parametrize("n,sigma", [(3, 2), (5, 2), (4, 3)])

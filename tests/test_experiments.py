@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 from suffixlab import cli, counting, trees
 from suffixlab.experiments import (
     CHECKS,
-    CountRow,
-    ExpectationRow,
-    GrowthCountRow,
-    SizeRow,
     exact_expected_growth,
     exact_expected_size,
     expected_growth,
@@ -19,10 +15,6 @@ from suffixlab.experiments import (
     growth_count_table,
     new_rng,
     random_string,
-    rows_from_csv,
-    rows_from_json,
-    rows_to_csv,
-    rows_to_json,
     run_verification,
 )
 from suffixlab.strings import Alphabet, Str, enumerate_strings
@@ -63,6 +55,7 @@ def test_functions_refuse_the_values_they_read():
         (lambda: expected_size((4,), 2, mode="sometimes"), "unknown mode 'sometimes'"),
         (lambda: expected_growth(4, 2, samples=0), "montecarlo mode needs at least one sample"),
         (lambda: expected_size((4,), 2, samples=0), "montecarlo mode needs at least one sample"),
+        (lambda: exact_expected_size(0, 2), "length must be at least 1, got 0"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -197,60 +190,13 @@ def test_growth_count_table_budget_error():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# n-list parsing
 # ---------------------------------------------------------------------------
-
-
-# fields not named here are drawn from their annotations (int, bool)
-finite = st.floats(allow_nan=False, allow_infinity=False)
-exact = st.none() | st.fractions()
-modes = st.sampled_from(["montecarlo", "exhaustive"])
-regimes = st.sampled_from(["uniform", "prefix"])
-count_rows = st.builds(CountRow, j_or_n=st.none() | st.integers(), k=st.none() | st.integers())
-growth_count_rows = st.builds(GrowthCountRow)
-expectation_rows = st.builds(
-    ExpectationRow, mode=modes, regime=regimes, mean=finite, stderr=finite, mean_exact=exact
-)
-size_rows = st.builds(
-    SizeRow, mode=modes, mean=finite, stderr=finite, mean_over_n2=finite, mean_exact=exact
-)
-
-
-def assert_roundtrip(row_type, rows):
-    assert rows_from_csv(row_type, rows_to_csv(row_type, rows)) == rows
-    assert rows_from_json(row_type, rows_to_json(row_type, rows)) == rows
-
-
-@given(st.lists(count_rows))
-def test_count_rows_roundtrip(rows):
-    assert_roundtrip(CountRow, rows)
-    wrapped = rows_to_json(CountRow, rows, kind="aperiodic", sigma=2)
-    assert rows_from_json(CountRow, wrapped) == rows
-
-
-@given(st.lists(growth_count_rows))
-def test_growth_count_rows_roundtrip(rows):
-    assert_roundtrip(GrowthCountRow, rows)
-
-
-@given(st.lists(expectation_rows))
-def test_expectation_rows_roundtrip(rows):
-    assert_roundtrip(ExpectationRow, rows)
-
-
-@given(st.lists(size_rows))
-def test_size_rows_roundtrip(rows):
-    assert_roundtrip(SizeRow, rows)
 
 
 @given(st.lists(st.integers(), min_size=1))
 def test_n_list_text_parses_back(values):
     assert cli._parse_n_list(",".join(map(str, values))) == tuple(values)
-
-
-def test_csv_rejects_wrong_header():
-    with pytest.raises(ValueError):
-        rows_from_csv(SizeRow, "nope\n1,2\n")
 
 
 # ---------------------------------------------------------------------------

@@ -229,13 +229,14 @@ def test_compact_invariants_exhaustive_binary():
 def assert_intervals_hold_subtree_leaves(tree):
     sa = tree.suffix_array
     assert sorted(sa) == list(range(1, len(tree.source) + 1))
+    suffix_of_leaf = {leaf: j for j, leaf in tree.leaves.items()}
     for v in range(tree.node_count):
         below = []
         stack = [v]
         while stack:
             u = stack.pop()
-            if tree.leaf_number(u) is not None:
-                below.append(tree.leaf_number(u))
+            if u in suffix_of_leaf:
+                below.append(suffix_of_leaf[u])
             stack.extend(tree.children[u].values())
         lo, hi = tree.interval[v]
         assert sorted(sa[lo:hi]) == sorted(below), (str(tree.source), v)
