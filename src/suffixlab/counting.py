@@ -13,7 +13,6 @@ importing this module does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .strings import enumerate_strings
@@ -281,40 +280,12 @@ def growth_counts(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthBoundRow:
-    n: int
-    k: int
-    count: int
-    bound: int
-
-    @property
-    def holds(self) -> bool:
-        return self.count <= self.bound
-
-
-@dataclass
-class GrowthBoundReport:
-    sigma: int
-    rows: list[GrowthBoundRow] = field(default_factory=list)
-    partition_failures: list[int] = field(default_factory=list)
-    route_failures: list[int] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[GrowthBoundRow]:
-        return [row for row in self.rows if not row.holds]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.partition_failures and not self.route_failures
-
-
 def check_growth_bound(
     sigma: int,
     k_max: int,
     n_max: int,
     budget: int = DEFAULT_BUDGET,
-) -> GrowthBoundReport:
+) -> tuple[int, list[tuple]]:
     """Compare exhaustive growth counts against growth_bound.
 
     For every k <= k_max and every n with 2k <= n <= n_max the exhaustive
@@ -322,18 +293,24 @@ def check_growth_bound(
     that the histogram sums to sigma^n (the growth values partition all
     strings) and that growth_counts, which enumerates nothing, returns the
     same histogram.
+
+    Returns the number of (n, k) pairs compared and the failures:
+    ("bound", n, k), ("partition", n) or ("route", n).
     """
-    report = GrowthBoundReport(sigma=sigma)
     bounds = {k: growth_bound(k, sigma) for k in range(1, k_max + 1)}
+    pairs = 0
+    failures: list[tuple] = []
     for n in range(2, n_max + 1):
         hist = growth_histogram(n, sigma, budget=budget)
         if sum(hist.values()) != sigma**n:
-            report.partition_failures.append(n)
+            failures.append(("partition", n))
         if growth_counts(n, sigma, budget=budget) != hist:
-            report.route_failures.append(n)
+            failures.append(("route", n))
         for k in range(1, min(k_max, n // 2) + 1):
-            report.rows.append(GrowthBoundRow(n=n, k=k, count=hist[k], bound=bounds[k]))
-    return report
+            pairs += 1
+            if hist[k] > bounds[k]:
+                failures.append(("bound", n, k))
+    return pairs, failures
 
 
 # ---------------------------------------------------------------------------
@@ -360,43 +337,3 @@ KNOWN_ERRATA = {
     "sigma2_row_shifted": {(2, j) for j in range(2, 9)},
     "sigma3_j8_dropped_digit": {(3, 8)},
 }
-
-
-@dataclass(frozen=True)
-class TableDiscrepancy:
-    sigma: int
-    j: int
-    published: int
-    computed: int
-    errata: str | None
-
-    @property
-    def known(self) -> bool:
-        return self.errata is not None
-
-
-def reference_table_discrepancies() -> list[TableDiscrepancy]:
-    """Cells of the reference table that disagree with the recurrence.
-
-    Each discrepancy is tagged with the errata entry that explains it,
-    or left untagged (known=False) if it is unexplained. An unexplained
-    discrepancy means either the table constant or the recurrence code
-    was broken, and verification must fail.
-    """
-    out = []
-    for sigma, row in sorted(REFERENCE_APERIODIC_TABLE.items()):
-        for j, published in enumerate(row, start=1):
-            computed = count_aperiodic(j, sigma)
-            if published == computed:
-                continue
-            errata = None
-            for name, cells in KNOWN_ERRATA.items():
-                if (sigma, j) in cells:
-                    errata = name
-                    break
-            out.append(
-                TableDiscrepancy(
-                    sigma=sigma, j=j, published=published, computed=computed, errata=errata
-                )
-            )
-    return out

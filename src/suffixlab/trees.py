@@ -26,7 +26,6 @@ scanning) so each can check the other.
 from __future__ import annotations
 
 from operator import add
-from typing import NamedTuple
 
 from .strings import TERMINATOR, Str, growth_of_symbols, symbol_char
 
@@ -182,8 +181,8 @@ class CompactSuffixTree(TreeBase):
     """Compact suffix tree with span-labelled edges.
 
     span[v] is the 1-based inclusive (i, j) range of source symbols on the
-    edge entering v, or None when that edge carries no plain symbols; the
-    has_terminator flag marks edges that end with the terminator. Every
+    edge entering v, or None when that edge carries no plain symbols; an
+    edge ends with the terminator exactly when it enters a leaf. Every
     internal node except the root has at least two children.
 
     suffix_array lists the leaf numbers in left-to-right order (children
@@ -194,7 +193,6 @@ class CompactSuffixTree(TreeBase):
     def __init__(self, source: Str):
         super().__init__(source)
         self.span: list[tuple[int, int] | None] = [None]
-        self.has_terminator: list[bool] = [False]
         self.suffix_array: list[int] = []
         self.interval: list[tuple[int, int]] = [(0, len(source))]
 
@@ -208,7 +206,7 @@ class CompactSuffixTree(TreeBase):
 
     def edge_label(self, child: int) -> str:
         text = "".join(symbol_char(sym) for sym in self.edge_symbols(child))
-        if self.has_terminator[child]:
+        if not self.children[child]:
             text += symbol_char(TERMINATOR)
         return text
 
@@ -217,7 +215,7 @@ class CompactSuffixTree(TreeBase):
         out = []
         v = self.leaves[j]
         while v != self.root:
-            if self.has_terminator[v]:
+            if not self.children[v]:
                 out.append(TERMINATOR)
             out.extend(reversed(self.edge_symbols(v)))
             v = self.parent[v]
@@ -233,7 +231,6 @@ class CompactSuffixTree(TreeBase):
             self.children,
             self.parent,
             self.span,
-            self.has_terminator,
             self.leaves,
             self.suffix_array,
             self.interval,
@@ -370,7 +367,6 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     tree = CompactSuffixTree(s)
     tree.parent += map(cid.__getitem__, ups)
     tree.span += [(i + 1, j) if i < j else None for i, j in zip(starts, ends)]
-    tree.has_terminator += map(n.__gt__, edges)
     tree.interval = list(zip(map(lo.__getitem__, order), map(hi.__getitem__, order)))
     children = tree.children = [{} for _ in order]
     head = syms + (TERMINATOR,)  # first symbol of an edge
@@ -398,8 +394,7 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
         rep += [j] * (created + 1)
 
     tree = CompactSuffixTree(s)
-    children, parent, span = tree.children, tree.parent, tree.span
-    has_terminator, leaves = tree.has_terminator, tree.leaves
+    children, parent, span, leaves = tree.children, tree.parent, tree.span, tree.leaves
     stack = [(naive.root, tree.root, 0)]  # (simple node, compact node, symbol depth)
     while stack:
         nv, cv, depth = stack.pop()
@@ -415,7 +410,6 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
             parent.append(cv)
             start = rep[node] + depth
             span.append((start, start + count - 1) if count else None)
-            has_terminator.append(term)
             children[cv][sym] = c
             if term:
                 leaves[rep[node]] = c
@@ -477,15 +471,8 @@ def growth_via_tree(s: Str) -> int:
     return growth_from_tree(build_suffix_tree(s))
 
 
-class GrowthSumIdentity(NamedTuple):
-    node_count: int
-    growth_sum_form: int
-    substring_form: int
-    equal: bool
-
-
-def growth_sum_identity(s: Str) -> GrowthSumIdentity:
-    """Compare the simple tree's node count with two forms that build no tree.
+def growth_sum_identity(s: Str) -> tuple[int, int, int]:
+    """The simple tree's node count, then two forms of it that build no tree.
 
     The growth-sum form is the sum of the growths of the suffixes s[m..n]
     for m = 1..n-1, plus 2 (the root and the single node on the path to
@@ -499,13 +486,7 @@ def growth_sum_identity(s: Str) -> GrowthSumIdentity:
     nodes = build_suffix_tree(s).node_count
     syms = s.symbols
     growth_sum = sum(growth_of_symbols(syms[m:]) for m in range(n - 1)) + 2 + n
-    substrings = simple_tree_size(s)
-    return GrowthSumIdentity(
-        node_count=nodes,
-        growth_sum_form=growth_sum,
-        substring_form=substrings,
-        equal=nodes == growth_sum == substrings,
-    )
+    return nodes, growth_sum, simple_tree_size(s)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,13 @@ from pathlib import Path
 from suffixlab import cli
 from suffixlab.experiments import (
     CHECKS,
+    CheckResult,
     ExpectationRow,
     exact_expected_growth,
     expected_growth,
     expected_size,
     rows_to_csv,
 )
-
-CHECK = {check.name: check for check in CHECKS}
 
 #: criterion -> (registry check, sizes it runs at beyond verify's, wall-time bound in s or None)
 GATE = {
@@ -49,7 +48,7 @@ def _report(num, detail):
 def _gate(num):
     name, sizes, bound = GATE[num]
     t0 = time.perf_counter()
-    result = CHECK[name](**sizes)
+    result = CheckResult(name, *CHECKS[name](**sizes))
     elapsed = time.perf_counter() - t0
     assert result.ok, result.line()
     assert bound is None or elapsed < bound, (name, elapsed)
@@ -149,16 +148,14 @@ def test_criterion_13_search_equals_scan():
 
 
 def test_each_registered_check_has_a_unique_name_and_one_criterion():
-    names = [check.name for check in CHECKS]
-    assert len(set(names)) == len(names)
-    assert sorted(name for name, _, _ in GATE.values()) == sorted(names)
+    assert sorted(name for name, _, _ in GATE.values()) == sorted(CHECKS)
 
 
 def test_size_overrides_are_parameters_of_their_check():
     for name, sizes, _ in GATE.values():
-        assert set(sizes) <= set(inspect.signature(CHECK[name].run).parameters), name
+        assert set(sizes) <= set(inspect.signature(CHECKS[name]).parameters), name
 
 
 def test_registry_order_is_the_order_verify_prints():
     golden = (Path(__file__).parent / "golden" / "verify_seed1.txt").read_text().splitlines()
-    assert [line.split(":")[0].split()[1] for line in golden[:-1]] == list(CHECK)
+    assert [line.split(":")[0].split()[1] for line in golden[:-1]] == list(CHECKS)

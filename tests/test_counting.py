@@ -78,15 +78,6 @@ def test_growth_bound_prefix_sums():
 
 
 @pytest.mark.parametrize("sigma", range(2, 7))
-def test_aperiodic_count_bounds(sigma):
-    for j in range(1, 21):
-        mu = count_aperiodic(j, sigma)
-        if j > 1:
-            assert mu <= sigma**j - sigma
-        assert mu >= sigma * (sigma - 1) ** (j - 1)
-
-
-@pytest.mark.parametrize("sigma", range(2, 7))
 def test_growth_bound_capped_by_k_sigma_k(sigma):
     for k in range(1, 21):
         assert growth_bound(k, sigma) <= k * sigma**k
@@ -195,13 +186,9 @@ def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
 
 
 def test_check_growth_bound_report():
-    report = check_growth_bound(2, k_max=4, n_max=10)
-    assert report.ok
-    assert not report.partition_failures
-    # rows exist exactly for 2k <= n
-    assert all(row.n >= 2 * row.k for row in report.rows)
-    assert any(row.count == row.bound for row in report.rows)  # k=1 is tight
-    assert not report.route_failures
+    # pairs exist exactly for 2k <= n: n = 2..10 with k <= min(4, n // 2)
+    assert check_growth_bound(2, k_max=4, n_max=10) == (24, [])
+    assert growth_histogram(10, 2)[1] == growth_bound(1, 2)  # k=1 is tight
 
 
 def test_check_growth_bound_reports_a_counting_route_that_disagrees(monkeypatch):
@@ -214,20 +201,7 @@ def test_check_growth_bound_reports_a_counting_route_that_disagrees(monkeypatch)
         return hist
 
     monkeypatch.setattr(counting, "growth_counts", off_by_one_at_7)
-    report = check_growth_bound(2, k_max=3, n_max=9)
-    assert report.route_failures == [7]
-    assert not report.partition_failures and not report.violations
-    assert not report.ok
-
-
-def test_reference_table_mismatches_are_all_documented():
-    discrepancies = counting.reference_table_discrepancies()
-    assert len(discrepancies) == 8
-    assert all(d.known for d in discrepancies)
-    assert {d.errata for d in discrepancies} == set(counting.KNOWN_ERRATA)
-    by_cell = {(d.sigma, d.j): d for d in discrepancies}
-    assert by_cell[(3, 8)].published == 648
-    assert by_cell[(3, 8)].computed == 6480
+    assert check_growth_bound(2, k_max=3, n_max=9) == (18, [("route", 7)])
 
 
 def test_exact_arithmetic_at_large_sizes():

@@ -208,7 +208,7 @@ def test_verification_detects_a_tampered_bound(monkeypatch):
     real = counting.growth_bound
     monkeypatch.setattr(counting, "growth_bound", lambda k, sigma: real(k, sigma) - 1)
     report = run_verification()
-    assert [c.name for c in report.checks] == [check.name for check in CHECKS]
+    assert [c.name for c in report.checks] == list(CHECKS)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
     assert "growth-count-bound" in failed
@@ -227,7 +227,7 @@ def test_verification_detects_a_wrong_counting_route(monkeypatch):
     report = run_verification()
     failed = [c for c in report.checks if not c.ok]
     assert [c.name for c in failed] == ["growth-count-bound"]
-    assert "route failures: [(2, 2)" in failed[0].detail
+    assert "(2, 'route', 2)" in failed[0].detail
 
 
 def test_verification_detects_a_wrong_compact_tree(monkeypatch):
