@@ -14,7 +14,8 @@ from . import counting, experiments, trees
 from .strings import from_text
 
 #: Largest simple tree `tree` builds; at about 290 bytes a node this is
-#: over 1 GB, and simple_tree_size reads the size before any is built.
+#: over 1 GB. simple_tree_size reads the size off the LCP array before any
+#: node is built, in O(n log² n) time.
 MAX_SIMPLE_TREE_NODES = 1 << 22
 
 

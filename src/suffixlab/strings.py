@@ -111,31 +111,6 @@ def substring(s: Str, i: int, j: int) -> Str:
     return Str(s.symbols[i - 1 : j], s.alphabet)
 
 
-def minimal_period(s: Str) -> int:
-    """Smallest divisor d of n with s[i] == s[i+d] for every i <= n-d.
-
-    Note the divisibility requirement: "abaab" has no period here even
-    though textbook definitions without d | n would give it one. d = n
-    always qualifies vacuously, so the result equals n exactly for
-    aperiodic strings.
-    """
-    n = len(s.symbols)
-    if n == 0:
-        raise ValueError("period of the empty string is undefined")
-    syms = s.symbols
-    for d in range(1, n):
-        if n % d:
-            continue
-        if all(syms[i] == syms[i + d] for i in range(n - d)):
-            return d
-    return n
-
-
-def is_aperiodic(s: Str) -> bool:
-    """True when the minimal period of s equals its length."""
-    return minimal_period(s) == len(s)
-
-
 def enumerate_strings(n: int, sigma: int) -> Iterator[tuple[int, ...]]:
     """Symbol tuples of all sigma^n length-n strings over 1..sigma, in
     lexicographic order."""

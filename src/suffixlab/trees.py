@@ -5,16 +5,17 @@ suffixes one after another, longest first; it is quadratic in the worst
 case. The compact tree has one edge per maximal unary chain of the simple
 tree, labelled by a span into the source string, so it never copies text
 and has at most 2n nodes. It is built without the simple tree, from a
-suffix array (prefix doubling) and its LCP array (Kasai et al., 2001), in
-O(n log² n) time and O(n) memory; compact_tree_via_simple collapses the
+suffix array and its LCP array; compact_tree_via_simple collapses the
 simple tree instead, and serves as the oracle the direct build is checked
 against.
 
-The simple tree's node count is also known without building it: one
-root, one internal node per distinct nonempty substring, and n leaves.
-simple_tree_size counts it in linear time with a suffix automaton, and
-the sampling experiments use it; the tree itself remains the object under
-study and the oracle the count is checked against.
+One kernel, suffix_arrays, sorts the suffixes of a block of strings with
+numpy; a string of at most _SA_WINDOW symbols is sorted in pure Python
+instead. The simple tree's node count is read off the same arrays: one
+root, n leaves and one internal node per distinct nonempty substring,
+which number C(n+1, 2) minus the LCP sum. The sampling experiments use
+that count; the tree itself remains the object under study and the
+oracle the count is checked against.
 
 The growth of a string is the number of new internal nodes the full
 string contributes when it is inserted last, which equals n minus the
@@ -26,8 +27,12 @@ scanning) so each can check the other.
 from __future__ import annotations
 
 from operator import add
+from typing import TYPE_CHECKING
 
 from .strings import TERMINATOR, Str, growth_of_symbols, symbol_char
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TreeBase:
@@ -79,60 +84,6 @@ class SuffixTree(TreeBase):
     def edge_label(self, child: int) -> str:
         """Printable label of the edge entering `child`."""
         return symbol_char(self._edge_symbol[child])
-
-    def path_symbols(self, j: int) -> tuple[int, ...]:
-        """Symbols along the root-to-leaf-j path, terminator included."""
-        out = []
-        v = self.leaves[j]
-        while v != self.root:
-            out.append(self._edge_symbol[v])
-            v = self.parent[v]
-        return tuple(reversed(out))
-
-
-def simple_tree_size(s: Str) -> int:
-    """Node count of the simple suffix tree of s, without building it.
-
-    The simple tree has a root, one internal node per distinct nonempty
-    substring of s, and n leaves. The distinct substrings are counted with
-    an online suffix automaton (Blumer et al., 1985) in O(n) states: each
-    appended symbol adds len[cur] - len[link[cur]] new substrings, and a
-    cloned state only splits an existing class, so it adds none.
-    """
-    n = len(s)
-    if n < 1:
-        raise ValueError("cannot build a suffix tree for the empty string")
-    nxt: list[dict[int, int]] = [{}]
-    link = [-1]
-    length = [0]
-    last = 0
-    distinct = 0
-    for c in s.symbols:
-        cur = len(length)
-        nxt.append({})
-        length.append(length[last] + 1)
-        link.append(0)
-        p = last
-        while p != -1 and c not in nxt[p]:
-            nxt[p][c] = cur
-            p = link[p]
-        if p != -1:
-            q = nxt[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(length)
-                nxt.append(nxt[q].copy())
-                length.append(length[p] + 1)
-                link.append(link[q])
-                while p != -1 and nxt[p].get(c) == q:
-                    nxt[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        distinct += length[cur] - length[link[cur]]
-        last = cur
-    return distinct + n + 1
 
 
 def build_suffix_tree(s: Str) -> SuffixTree:
@@ -210,17 +161,6 @@ class CompactSuffixTree(TreeBase):
             text += symbol_char(TERMINATOR)
         return text
 
-    def path_symbols(self, j: int) -> tuple[int, ...]:
-        """Symbols along the root-to-leaf-j path, terminator included."""
-        out = []
-        v = self.leaves[j]
-        while v != self.root:
-            if not self.children[v]:
-                out.append(TERMINATOR)
-            out.extend(reversed(self.edge_symbols(v)))
-            v = self.parent[v]
-        return tuple(reversed(out))
-
     def edge_labels(self) -> list[str]:
         """Labels of all edges, for inspection and tests."""
         return [self.edge_label(v) for v in range(1, self.node_count)]
@@ -237,68 +177,94 @@ class CompactSuffixTree(TreeBase):
         )
 
 
-#: symbols of each suffix compared directly by the first sort of _suffix_array
+#: strings of at most this many symbols are sorted by whole suffixes in
+#: pure Python; longer ones go through suffix_arrays
 _SA_WINDOW = 16
 
 
-def _suffix_array(syms: tuple[int, ...]) -> list[int]:
-    """0-based starts of the suffixes of syms + terminator in sorted order,
-    the terminator ranked above every symbol.
+def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based suffix arrays and LCP arrays of the rows of a 2-D block of
+    symbols, the terminator ranked above every symbol; lcp[:, r] counts
+    the symbols shared by the suffixes at sa[:, r - 1] and sa[:, r].
 
-    The first sort compares the first _SA_WINDOW symbols of each suffix,
-    then the terminator; for a string no longer than that, every key holds
-    its whole suffix and the order is final. Beyond, prefix doubling: after
-    the round with block length k, rank[i] orders the first k symbols of
-    suffix i; the next round sorts by the pair (rank[i], rank[i + k]),
-    where a block past the end is the terminator and ranks last. Stops once
-    all ranks differ.
+    Prefix doubling (Manber & Myers, 1993): round k ranks the first k
+    symbols of each suffix, and the next sorts each row stably by the pair
+    (rank[i], rank[i + k]), a block past the end ranking above every rank.
+    The pair key's multiplier comes from the largest rank, so keys never
+    collide. Stops once every row's ranks differ. The LCPs follow by
+    binary lifting over the rounds' rank tables: a block extends a match
+    when it lies inside the string at both suffixes and ranks the same.
     """
-    n = len(syms)
-    above = max(syms) + 1  # the terminator
-    window = [syms[i : i + _SA_WINDOW] + (above,) for i in range(n)]
-    sa = sorted(range(n), key=window.__getitem__)
-    if n <= _SA_WINDOW:
-        return sa
-    rank = [0] * n
-    top = 0
-    for a, b in zip(sa, sa[1:]):
-        if window[b] != window[a]:
-            top += 1
-        rank[b] = top
-    k = _SA_WINDOW
-    while top < n - 1:
-        key = [rank[i] * (n + 1) + (rank[i + k] if i + k < n else n) for i in range(n)]
-        sa.sort(key=key.__getitem__)
-        top = 0
-        rank[sa[0]] = 0
-        for a, b in zip(sa, sa[1:]):
-            if key[b] != key[a]:
-                top += 1
-            rank[b] = top
+    import numpy as np
+
+    rows, n = block.shape
+    key = block
+    ranks = []
+    k = 1
+    while True:
+        sa = np.argsort(key, axis=1, kind="stable")
+        ordered = np.take_along_axis(key, sa, axis=1)
+        sorted_rank = np.zeros((rows, n), dtype=np.int64)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
+        rank = np.empty_like(sorted_rank)
+        np.put_along_axis(rank, sa, sorted_rank, axis=1)
+        ranks.append(rank)
+        if (sorted_rank[:, -1] == n - 1).all():
+            break
+        above = int(sorted_rank[:, -1].max()) + 1  # the terminator
+        key = rank * (above + 1)
+        key[:, : n - k] += rank[:, k:]  # k < n: ranks of longer blocks all differ
+        key[:, n - k :] += above
         k *= 2
-    return sa
+
+    lcp = np.zeros((rows, n), dtype=np.int64)
+    match = lcp[:, 1:]  # a view, so adding to it fills lcp
+    left, right = sa[:, :-1], sa[:, 1:]
+    for rank in reversed(ranks):
+        inside = np.maximum(left, right) + match + k <= n
+        at_left, at_right = np.minimum(left + match, n - 1), np.minimum(right + match, n - 1)
+        same = np.take_along_axis(rank, at_left, axis=1) == np.take_along_axis(rank, at_right, axis=1)
+        match += k * (inside & same)
+        k //= 2
+    return sa, lcp
 
 
-def _lcp_array(syms: tuple[int, ...], sa: list[int]) -> list[int]:
-    """lcp[r] = plain symbols shared by the suffixes at sa[r - 1] and sa[r];
-    lcp[0] = 0. Kasai et al. (2001): visiting suffixes by start, the
-    match length drops by at most one from one suffix to the next."""
+def _sa_lcp(syms: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Suffix array and LCP array of one string, as suffix_arrays gives them."""
     n = len(syms)
-    rank = sorted(range(n), key=sa.__getitem__)  # inverse of sa
-    lcp = [0] * n
-    h = 0
-    for i, r in enumerate(rank):
-        if r == 0:
-            h = 0
-            continue
-        j = sa[r - 1]
-        room = n - max(i, j)
-        while h < room and syms[i + h] == syms[j + h]:
+    if n > _SA_WINDOW:
+        import numpy as np
+
+        sa, lcp = suffix_arrays(np.array([syms]))
+        return sa[0].tolist(), lcp[0].tolist()
+    above = max(syms) + 1  # the terminator
+    window = [syms[i:] + (above,) for i in range(n)]
+    sa = sorted(range(n), key=window.__getitem__)
+    lcp = [0]
+    for a, b in zip(sa, sa[1:]):
+        wa, wb = window[a], window[b]
+        h = 0
+        while wa[h] == wb[h]:  # the shorter suffix's terminator stops it
             h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+        lcp.append(h)
+    return sa, lcp
+
+
+def simple_tree_size(s: Str) -> int:
+    """Node count of the simple suffix tree of s, without building it: a
+    root, n leaves and one internal node per distinct nonempty substring.
+    In sorted order each suffix adds the prefixes it does not share with
+    the one before, so those number C(n+1, 2) minus the LCP sum."""
+    n = len(s)
+    if n < 1:
+        raise ValueError("cannot build a suffix tree for the empty string")
+    return n * (n + 1) // 2 - sum(_sa_lcp(s.symbols)[1]) + n + 1
+
+
+def simple_tree_sizes(block: np.ndarray) -> np.ndarray:
+    """simple_tree_size of every row of a 2-D block, from one suffix_arrays call."""
+    n = block.shape[1]
+    return n * (n + 1) // 2 - suffix_arrays(block)[1].sum(axis=1) + n + 1
 
 
 def build_compact_tree(s: Str) -> CompactSuffixTree:
@@ -312,14 +278,13 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     nodes in reverse closing order each hand consecutive ids to all their
     children, in symbol order. An edge span starts at the smallest suffix
     start below it plus the parent's depth. Never builds the simple tree;
-    O(n log² n) time and O(n) memory.
+    O(n log² n) time and O(n log n) memory, both in suffix_arrays.
     """
     n = len(s)
     if n < 1:
         raise ValueError("cannot build a suffix tree for the empty string")
     syms = s.symbols
-    sa = _suffix_array(syms)
-    lcp = _lcp_array(syms, sa)
+    sa, lcp = _sa_lcp(syms)
     lcp.append(0)  # closes every node but the root
 
     # scaffold: ids 0..n-1 are the leaves in suffix-array order, id n is
@@ -478,7 +443,7 @@ def growth_sum_identity(s: Str) -> tuple[int, int, int]:
     for m = 1..n-1, plus 2 (the root and the single node on the path to
     leaf n) plus n leaves, with the growths computed by scanning. The
     substring form is simple_tree_size(s): distinct substrings + n + 1,
-    counted by a suffix automaton. All three must agree.
+    counted from the LCP array. All three must agree.
     """
     n = len(s)
     if n < 2:

@@ -14,7 +14,9 @@ from suffixlab.counting import (
     proper_divisors,
 )
 from suffixlab.experiments import growth_count_table
-from suffixlab.strings import Alphabet, Str, enumerate_strings, is_aperiodic
+from suffixlab.strings import Alphabet, Str, enumerate_strings
+
+from conftest import is_aperiodic
 
 
 def test_proper_divisors():

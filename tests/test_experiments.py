@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,29 @@ def test_expected_size_builds_no_tree(mode, monkeypatch):
 
     monkeypatch.setattr(trees, "build_suffix_tree", no_tree)
     assert expected_size((4, 6), 2, mode=mode, samples=30, seed=5) == expected
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4, 26])
+@pytest.mark.parametrize("n", [1, 17, 64, 257])
+def test_block_draws_replay_per_sample_draws(sigma, n):
+    """Blocks of rows take the same symbols from the generator as one
+    random_string call per row, and leave it in the same state."""
+    by_block, by_sample = new_rng(11), new_rng(11)
+    for rows in (3, 1, 4):
+        block = by_block.integers(1, sigma + 1, size=(rows, n))
+        assert [tuple(row) for row in block.tolist()] == [
+            random_string(n, sigma, by_sample).symbols for _ in range(rows)
+        ]
+        assert by_block.bit_generator.state == by_sample.bit_generator.state
+
+
+def test_expected_size_blocks_count_what_per_sample_draws_count():
+    # 20 samples at n = 1000 take three blocks, the last one short
+    rows = expected_size((1000,), 3, samples=20, seed=4)
+    rng = new_rng(4)
+    counts = [trees.simple_tree_size(random_string(1000, 3, rng)) for _ in range(20)]
+    assert rows[0].mean == statistics.fmean(counts)
+    assert rows[0].stderr == statistics.stdev(counts) / math.sqrt(20)
 
 
 def test_expected_size_requires_ascending_lengths():

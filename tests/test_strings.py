@@ -8,12 +8,12 @@ from suffixlab.strings import (
     Str,
     enumerate_strings,
     from_text,
-    is_aperiodic,
     make_string,
-    minimal_period,
     substring,
     to_text,
 )
+
+from conftest import is_aperiodic, minimal_period
 
 
 def test_codec_encodes_letters():

@@ -122,6 +122,103 @@ def test_simple_tree_size_matches_tree_random(data):
     assert simple_tree_size(s) == build_suffix_tree(s).node_count
 
 
+def distinct_substrings_by_automaton(symbols):
+    """Distinct nonempty substrings, counted by an online suffix automaton
+    (Blumer et al., 1985) in O(n) states: the independent oracle for the
+    suffix-array count. Each appended symbol adds len[cur] - len[link[cur]]
+    new substrings, and a cloned state only splits an existing class, so
+    it adds none."""
+    nxt = [{}]
+    link = [-1]
+    length = [0]
+    last = 0
+    distinct = 0
+    for c in symbols:
+        cur = len(length)
+        nxt.append({})
+        length.append(length[last] + 1)
+        link.append(0)
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                nxt.append(nxt[q].copy())
+                length.append(length[p] + 1)
+                link.append(link[q])
+                while p != -1 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        distinct += length[cur] - length[link[cur]]
+        last = cur
+    return distinct
+
+
+def size_by_automaton(s):
+    return distinct_substrings_by_automaton(s.symbols) + len(s) + 1
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3000),
+    st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_simple_tree_size_equals_the_automaton(sigma, n, word, seed):
+    """Uniform strings, and powers of a word with a few symbols changed,
+    whose long repeats take the most doubling rounds."""
+    alphabet = Alphabet(sigma)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    uniform = rng.integers(1, sigma + 1, size=n).tolist()
+    power = [word[i % len(word)] % sigma + 1 for i in range(n)]
+    for i in rng.integers(0, n, size=3).tolist():
+        power[i] = int(rng.integers(1, sigma + 1))
+    for symbols in (uniform, power):
+        s = Str(tuple(symbols), alphabet)
+        assert simple_tree_size(s) == size_by_automaton(s)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_both_sides_of_the_window_threshold(n):
+    # the window sort serves n <= 16, suffix_arrays n = 17
+    rng = np.random.Generator(np.random.PCG64(n))
+    for sigma in (1, 2, 3, 4):
+        alphabet = Alphabet(sigma)
+        for symbols in (
+            [1] * n,
+            [1 + i % sigma for i in range(n)],
+            *rng.integers(1, sigma + 1, size=(20, n)).tolist(),
+        ):
+            s = Str(tuple(symbols), alphabet)
+            assert simple_tree_size(s) == size_by_automaton(s) == build_suffix_tree(s).node_count
+            assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout(), str(s)
+
+
+@pytest.mark.parametrize("n", range(17, 41))
+def test_kernel_with_more_symbols_than_positions(n):
+    # 26 symbols at n = 17: a pair-key multiplier taken from n instead of
+    # the largest rank makes keys collide, and the doubling never ends
+    s = make_string(np.random.Generator(np.random.PCG64(n)).integers(1, 27, size=n).tolist(), Alphabet(26))
+    assert simple_tree_size(s) == size_by_automaton(s) == build_suffix_tree(s).node_count
+    assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout()
+
+
+@pytest.mark.parametrize("sigma,n_max", [(1, 16), (2, 12), (3, 8)])
+def test_kernel_equals_the_window_sort_on_every_short_string(sigma, n_max):
+    for n in range(1, n_max + 1):
+        strings = list(enumerate_strings(n, sigma))
+        sa, lcp = trees.suffix_arrays(np.array(strings))
+        assert [trees._sa_lcp(t) for t in strings] == list(zip(sa.tolist(), lcp.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
