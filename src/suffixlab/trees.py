@@ -10,12 +10,14 @@ simple tree instead, and serves as the oracle the direct build is checked
 against.
 
 One kernel, suffix_arrays, sorts the suffixes of a block of strings with
-numpy; a string of at most _SA_WINDOW symbols is sorted in pure Python
-instead. The simple tree's node count is read off the same arrays: one
-root, n leaves and one internal node per distinct nonempty substring,
-which number C(n+1, 2) minus the LCP sum. The sampling experiments use
-that count; the tree itself remains the object under study and the
-oracle the count is checked against.
+numpy: keys that pack the first few symbols of each suffix into one
+int64, then prefix doubling on rank pairs. A string of at most
+_SA_WINDOW symbols is sorted in pure Python instead. The simple tree's
+node count is read off the same arrays: one root, n leaves and one
+internal node per distinct nonempty substring, which number C(n+1, 2)
+minus the LCP sum. The sampling experiments use that count; the tree
+itself remains the object under study and the oracle the count is
+checked against.
 
 The growth of a string is the number of new internal nodes the full
 string contributes when it is inserted last, which equals n minus the
@@ -184,33 +186,64 @@ _SA_WINDOW = 16
 
 def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """0-based suffix arrays and LCP arrays of the rows of a 2-D block of
-    symbols, the terminator ranked above every symbol; lcp[:, r] counts
-    the symbols shared by the suffixes at sa[:, r - 1] and sa[:, r].
+    symbols ≥ 1, as Str holds them, the terminator ranked above every
+    symbol; lcp[:, r] counts the symbols shared by the suffixes at
+    sa[:, r - 1] and sa[:, r]. Raises ValueError for a block with no
+    columns or with a symbol below 1.
 
-    Prefix doubling (Manber & Myers, 1993): round k ranks the first k
-    symbols of each suffix, and the next sorts each row stably by the pair
-    (rank[i], rank[i + k]), a block past the end ranking above every rank.
-    The pair key's multiplier comes from the largest rank, so keys never
-    collide. Stops once every row's ranks differ. The LCPs follow by
-    binary lifting over the rounds' rank tables: a block extends a match
-    when it lies inside the string at both suffixes and ranks the same.
+    The digit top = largest symbol + 1 stands for the terminator and for
+    every position past the end, so blocks of symbols order as their
+    digit strings. Packing (Larsson & Sadakane, 2007): the key of the
+    first 2m symbols of a suffix is the key of its first m shifted left by
+    m digits, or-ed with the key of the m symbols after them. So the keys
+    of the first 1, 2, 4, ..., q symbols take no sort; q is the largest
+    power of two whose q-digit key fits in int64 (1 when two digits do
+    not).
+
+    Then prefix doubling (Manber & Myers, 1993) from k = q: a round sorts
+    each row by its key and ranks the first k symbols of every suffix, and
+    the next key is the pair (rank[i], rank[i + k]), a block past the end
+    ranking above every rank. The pair key's multiplier comes from the
+    largest rank, so keys never collide. Stops once every row's keys
+    differ. The sorts need not be stable: ranks depend only on key values,
+    and the last round's keys all differ, so they alone fix the order.
+
+    The LCPs follow by binary lifting over the packed keys shorter than q
+    and the ranks of every round but the last (no two suffixes share that
+    many symbols): a block extends a match when it lies inside the string
+    at both suffixes and has the same key or rank there.
     """
     import numpy as np
 
     rows, n = block.shape
-    key = block
-    ranks = []
+    if n < 1:
+        raise ValueError("cannot sort the suffixes of empty strings")
+    if (block < 1).any():
+        raise ValueError("symbols must be at least 1")
+    top = int(block.max(initial=0)) + 1
+    digit = top.bit_length()
+    key = block.astype(np.int64, copy=False)
+    tables = []  # packed keys of the first 1, 2, ..., q/2 symbols, then ranks
+    pad = top  # key of k past-the-end digits
     k = 1
+    while 2 * k * digit <= 63:
+        tables.append(key)
+        key = key << k * digit
+        cut = max(n - k, 0)  # the next k digits lie inside the string before cut
+        key[:, :cut] |= tables[-1][:, k:]
+        key[:, cut:] |= pad
+        pad |= pad << k * digit
+        k *= 2
     while True:
-        sa = np.argsort(key, axis=1, kind="stable")
+        sa = np.argsort(key, axis=1)
         ordered = np.take_along_axis(key, sa, axis=1)
         sorted_rank = np.zeros((rows, n), dtype=np.int64)
         np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
-        rank = np.empty_like(sorted_rank)
-        np.put_along_axis(rank, sa, sorted_rank, axis=1)
-        ranks.append(rank)
         if (sorted_rank[:, -1] == n - 1).all():
             break
+        rank = np.empty_like(sorted_rank)
+        np.put_along_axis(rank, sa, sorted_rank, axis=1)
+        tables.append(rank)
         above = int(sorted_rank[:, -1].max()) + 1  # the terminator
         key = rank * (above + 1)
         key[:, : n - k] += rank[:, k:]  # k < n: ranks of longer blocks all differ
@@ -220,12 +253,12 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lcp = np.zeros((rows, n), dtype=np.int64)
     match = lcp[:, 1:]  # a view, so adding to it fills lcp
     left, right = sa[:, :-1], sa[:, 1:]
-    for rank in reversed(ranks):
+    for table in reversed(tables):
+        k //= 2
         inside = np.maximum(left, right) + match + k <= n
         at_left, at_right = np.minimum(left + match, n - 1), np.minimum(right + match, n - 1)
-        same = np.take_along_axis(rank, at_left, axis=1) == np.take_along_axis(rank, at_right, axis=1)
+        same = np.take_along_axis(table, at_left, axis=1) == np.take_along_axis(table, at_right, axis=1)
         match += k * (inside & same)
-        k //= 2
     return sa, lcp
 
 
@@ -262,7 +295,8 @@ def simple_tree_size(s: Str) -> int:
 
 
 def simple_tree_sizes(block: np.ndarray) -> np.ndarray:
-    """simple_tree_size of every row of a 2-D block, from one suffix_arrays call."""
+    """simple_tree_size of every row of a 2-D block, from one suffix_arrays
+    call, which raises ValueError for a block outside its domain."""
     n = block.shape[1]
     return n * (n + 1) // 2 - suffix_arrays(block)[1].sum(axis=1) + n + 1
 
@@ -277,8 +311,10 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     are then numbered as compact_tree_via_simple numbers them: internal
     nodes in reverse closing order each hand consecutive ids to all their
     children, in symbol order. An edge span starts at the smallest suffix
-    start below it plus the parent's depth. Never builds the simple tree;
-    O(n log² n) time and O(n log n) memory, both in suffix_arrays.
+    start below it plus the parent's depth. Never builds the simple tree.
+    suffix_arrays costs O(n log n) time per doubling round, about
+    log₂(n / q) rounds for random text, and O(n log n) memory; the stack
+    pass and the node lists are linear but run in pure Python.
     """
     n = len(s)
     if n < 1:

@@ -219,6 +219,79 @@ def test_kernel_equals_the_window_sort_on_every_short_string(sigma, n_max):
         assert [trees._sa_lcp(t) for t in strings] == list(zip(sa.tolist(), lcp.tolist()))
 
 
+def suffixes_by_python_sort(symbols):
+    """Suffix array and LCP array by sorting whole suffix tuples, each ended
+    by a terminator above every symbol."""
+    end = (max(symbols) + 1,)
+    suffixes = [tuple(symbols[i:]) + end for i in range(len(symbols))]
+    sa = sorted(range(len(symbols)), key=suffixes.__getitem__)
+    lcp = [0]
+    for a, b in zip(sa, sa[1:]):
+        lcp.append(next(h for h, (x, y) in enumerate(zip(suffixes[a], suffixes[b])) if x != y))
+    return sa, lcp
+
+
+def pack_boundary_rows(sigma, q, n, rng):
+    """Constant, period-q, period-(q + 1) and uniform rows of n symbols;
+    the period-q row holds sigma, so the block's largest digit is sigma + 1."""
+    short, long = rng.integers(1, sigma + 1, size=q), rng.integers(1, sigma + 1, size=q + 1)
+    short[0] = sigma
+    return [
+        [1] * n,
+        [int(short[i % q]) for i in range(n)],
+        [int(long[i % (q + 1)]) for i in range(n)],
+        *rng.integers(1, sigma + 1, size=(4, n)).tolist(),
+    ]
+
+
+#: (sigma, q): a packed key holds q digits of bit_length(sigma + 1) bits each
+PACK_WIDTHS = [(1, 16), (2, 16), (3, 16), (4, 16), (26, 8)]
+
+
+@pytest.mark.parametrize("sigma,q", PACK_WIDTHS)
+def test_kernel_at_the_pack_boundaries(sigma, q):
+    rng = np.random.Generator(np.random.PCG64(sigma))
+    alphabet = Alphabet(sigma)
+    for n in (q - 1, q, q + 1, 2 * q, 2 * q + 1):
+        block = np.array(pack_boundary_rows(sigma, q, n, rng))
+        sa, lcp = trees.suffix_arrays(block)
+        sizes = trees.simple_tree_sizes(block)
+        for row, row_sa, row_lcp, size in zip(block.tolist(), sa.tolist(), lcp.tolist(), sizes):
+            s = Str(tuple(row), alphabet)
+            assert (row_sa, row_lcp) == suffixes_by_python_sort(row), (n, row)
+            assert size == size_by_automaton(s)
+            oracle = compact_tree_via_simple(s)
+            assert [j - 1 for j in oracle.suffix_array] == row_sa
+            assert build_compact_tree(s).layout() == oracle.layout()
+
+
+def test_kernel_with_symbols_too_wide_to_pack():
+    # 41-bit digits: two do not fit in an int64 key, so q = 1 and every
+    # round is a rank-pair round
+    rng = np.random.Generator(np.random.PCG64(40))
+    for n in (1, 2, 3, 17, 33):
+        block = 2**40 - 1 + np.array(pack_boundary_rows(3, 4, n, rng))
+        sa, lcp = trees.suffix_arrays(block)
+        sizes = trees.simple_tree_sizes(block)
+        for row, row_sa, row_lcp, size in zip(block.tolist(), sa.tolist(), lcp.tolist(), sizes):
+            assert (row_sa, row_lcp) == suffixes_by_python_sort(row), (n, row)
+            assert size == distinct_substrings_by_automaton(tuple(row)) + n + 1
+
+
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        (np.ones((3, 0), dtype=np.int64), "empty strings"),
+        (np.array([[1, 0, 2]]), "at least 1"),
+        (np.array([[2, -1], [1, 1]]), "at least 1"),
+    ],
+)
+def test_kernel_refuses_blocks_outside_its_domain(block, message):
+    for count in (trees.suffix_arrays, trees.simple_tree_sizes):
+        with pytest.raises(ValueError, match=message):
+            count(block)
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
