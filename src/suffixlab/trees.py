@@ -184,12 +184,25 @@ class CompactSuffixTree(TreeBase):
 _SA_WINDOW = 16
 
 
+def _leading_equal_digits(diff: np.ndarray, q: int, digit: int) -> np.ndarray:
+    """For xors of two q-digit keys, the number of leading digits the keys
+    share: binary search over the prefix lengths, each step one shift."""
+    import numpy as np
+
+    match = np.zeros(diff.shape, dtype=np.int64)
+    step = q // 2
+    while step:
+        match += step * (diff >> (q - match - step) * digit == 0)
+        step //= 2
+    return match + (diff == 0)
+
+
 def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """0-based suffix arrays and LCP arrays of the rows of a 2-D block of
     symbols ≥ 1, as Str holds them, the terminator ranked above every
     symbol; lcp[:, r] counts the symbols shared by the suffixes at
-    sa[:, r - 1] and sa[:, r]. Raises ValueError for a block with no
-    columns or with a symbol below 1.
+    sa[:, r - 1] and sa[:, r]. Raises ValueError for a block that is not
+    2-D, has no columns or holds a symbol below 1.
 
     The digit top = largest symbol + 1 stands for the terminator and for
     every position past the end, so blocks of symbols order as their
@@ -208,13 +221,20 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     differ. The sorts need not be stable: ranks depend only on key values,
     and the last round's keys all differ, so they alone fix the order.
 
-    The LCPs follow by binary lifting over the packed keys shorter than q
-    and the ranks of every round but the last (no two suffixes share that
-    many symbols): a block extends a match when it lies inside the string
-    at both suffixes and has the same key or rank there.
+    The LCPs: a sorted sequence does not depend on how ties were broken,
+    so the first round's sorted q-keys are the q-keys in the final order,
+    and an adjacent pair shares as many symbols as their keys share
+    leading digits, below q. Only the pairs whose q-keys are equal are
+    lifted further (binary lifting over the rounds' rank tables: a block
+    extends a match when it has the same rank at both suffixes), and
+    their last step below q is read off the q-keys at the lifted offsets.
+    Each table has a column past the end, the all-pad key or a rank of -1,
+    which no suffix inside the string matches.
     """
     import numpy as np
 
+    if block.ndim != 2:
+        raise ValueError(f"block must be 2-D, got shape {block.shape}")
     rows, n = block.shape
     if n < 1:
         raise ValueError("cannot sort the suffixes of empty strings")
@@ -222,43 +242,53 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("symbols must be at least 1")
     top = int(block.max(initial=0)) + 1
     digit = top.bit_length()
-    key = block.astype(np.int64, copy=False)
-    tables = []  # packed keys of the first 1, 2, ..., q/2 symbols, then ranks
-    pad = top  # key of k past-the-end digits
-    k = 1
-    while 2 * k * digit <= 63:
-        tables.append(key)
-        key = key << k * digit
-        cut = max(n - k, 0)  # the next k digits lie inside the string before cut
-        key[:, :cut] |= tables[-1][:, k:]
-        key[:, cut:] |= pad
-        pad |= pad << k * digit
-        k *= 2
+    qkey = np.full((rows, n + 1), top, dtype=np.int64)
+    qkey[:, :n] = block
+    pad = top  # key of q past-the-end digits
+    q = 1
+    while 2 * q * digit <= 63:
+        longer = qkey << q * digit
+        cut = max(n + 1 - q, 0)  # the next q digits start inside the table before cut
+        longer[:, :cut] |= qkey[:, q:]
+        longer[:, cut:] |= pad
+        qkey = longer
+        pad |= pad << q * digit
+        q *= 2
+
+    lcp = np.zeros((rows, n), dtype=np.int64)
+    tables = []  # ranks of the first q, 2q, ... symbols, each with a column past the end
+    key = qkey[:, :n]
+    k = q
     while True:
         sa = np.argsort(key, axis=1)
         ordered = np.take_along_axis(key, sa, axis=1)
+        if k == q:
+            lcp[:, 1:] = _leading_equal_digits(ordered[:, :-1] ^ ordered[:, 1:], q, digit)
         sorted_rank = np.zeros((rows, n), dtype=np.int64)
         np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
         if (sorted_rank[:, -1] == n - 1).all():
             break
-        rank = np.empty_like(sorted_rank)
+        tables.append(np.full((rows, n + 1), -1, dtype=np.int64))
+        rank = tables[-1][:, :n]
         np.put_along_axis(rank, sa, sorted_rank, axis=1)
-        tables.append(rank)
         above = int(sorted_rank[:, -1].max()) + 1  # the terminator
         key = rank * (above + 1)
         key[:, : n - k] += rank[:, k:]  # k < n: ranks of longer blocks all differ
         key[:, n - k :] += above
         k *= 2
 
-    lcp = np.zeros((rows, n), dtype=np.int64)
-    match = lcp[:, 1:]  # a view, so adding to it fills lcp
-    left, right = sa[:, :-1], sa[:, 1:]
+    del key, ordered, sorted_rank  # dead, and the gathers below set the peak at large n
+    pair = np.flatnonzero(lcp == q)  # pairs sharing q symbols; lcp[:, 0] is 0 < q
+    left = pair // n * (n + 1)  # where the pair's row starts in a table
+    right = left + sa.ravel()[pair]
+    left += sa.ravel()[pair - 1]
+    match = np.full(len(pair), q, dtype=np.int64)
     for table in reversed(tables):
         k //= 2
-        inside = np.maximum(left, right) + match + k <= n
-        at_left, at_right = np.minimum(left + match, n - 1), np.minimum(right + match, n - 1)
-        same = np.take_along_axis(table, at_left, axis=1) == np.take_along_axis(table, at_right, axis=1)
-        match += k * (inside & same)
+        flat = table.ravel()
+        match += k * (flat[left + match] == flat[right + match])
+    flat = qkey.ravel()
+    lcp.ravel()[pair] = match + _leading_equal_digits(flat[left + match] ^ flat[right + match], q, digit)
     return sa, lcp
 
 
@@ -297,8 +327,9 @@ def simple_tree_size(s: Str) -> int:
 def simple_tree_sizes(block: np.ndarray) -> np.ndarray:
     """simple_tree_size of every row of a 2-D block, from one suffix_arrays
     call, which raises ValueError for a block outside its domain."""
-    n = block.shape[1]
-    return n * (n + 1) // 2 - suffix_arrays(block)[1].sum(axis=1) + n + 1
+    lcp = suffix_arrays(block)[1]
+    n = lcp.shape[1]
+    return n * (n + 1) // 2 - lcp.sum(axis=1) + n + 1
 
 
 def build_compact_tree(s: Str) -> CompactSuffixTree:
@@ -312,9 +343,11 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     nodes in reverse closing order each hand consecutive ids to all their
     children, in symbol order. An edge span starts at the smallest suffix
     start below it plus the parent's depth. Never builds the simple tree.
-    suffix_arrays costs O(n log n) time per doubling round, about
-    log₂(n / q) rounds for random text, and O(n log n) memory; the stack
-    pass and the node lists are linear but run in pure Python.
+    suffix_arrays costs O(n log n) time and one rank table of n entries
+    per doubling round, one round for each doubling of the longest repeat
+    beyond q symbols; its LCPs cost O(n) elementwise work, plus one gather
+    per round for each adjacent pair that shares q symbols. The stack pass
+    and the node lists are linear but run in pure Python.
     """
     n = len(s)
     if n < 1:

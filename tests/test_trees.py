@@ -278,12 +278,72 @@ def test_kernel_with_symbols_too_wide_to_pack():
             assert size == distinct_substrings_by_automaton(tuple(row)) + n + 1
 
 
+def pack_width_rows(sigma, q, rng):
+    """Rows of 4q + 2 symbols in which adjacent sorted suffixes share q - 1,
+    q, q + 1, 2q - 1 and 2q symbols, with uniform rows beside them. Row
+    u1u2v makes the suffixes at 0 and len(u) + 1 share u; in row v1u2u
+    the suffix u shares u with the suffix u2u, a match that runs to the
+    string end. In the constant row adjacent suffixes share 1, 2, ...,
+    4q + 1 symbols, each match running to the end."""
+    n = 4 * q + 2
+    rows, shared = [[1] * n], [range(n)]
+    for length in (q - 1, q, q + 1, 2 * q - 1, 2 * q) if sigma > 1 else ():
+        u = rng.integers(1, sigma + 1, size=length).tolist()
+        v = rng.integers(1, sigma + 1, size=n - 2 * length - 2).tolist()
+        rows += [u + [1] + u + [2] + v, v + [1] + u + [2] + u]
+        shared += [[length], [length]]
+    rows += rng.integers(1, sigma + 1, size=(3, n)).tolist()
+    shared += [[], [], []]
+    return rows, shared
+
+
+@pytest.mark.parametrize(
+    "sigma,q,base", [(sigma, q, 0) for sigma, q in PACK_WIDTHS] + [(3, 1, 2**40 - 1)]
+)
+def test_lcp_at_the_pack_width(sigma, q, base):
+    # the LCPs below q come off the sorted q-keys, the rest are lifted from
+    # q; base 2**40 - 1 makes 41-bit digits, so q = 1
+    rows, shared = pack_width_rows(sigma, q, np.random.Generator(np.random.PCG64(q + sigma)))
+    block = base + np.array(rows)
+    sa, lcp = trees.suffix_arrays(block)
+    for row, row_sa, row_lcp, lengths in zip(block.tolist(), sa.tolist(), lcp.tolist(), shared):
+        assert (row_sa, row_lcp) == suffixes_by_python_sort(row), row
+        assert set(lengths) <= set(row_lcp), row
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 200),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=2, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernel_rows_equal_a_python_sort(sigma, n, shapes, seed):
+    """Blocks mixing uniform rows (period 0) and powers of short words with a
+    few symbols changed, so that rows need different numbers of doubling
+    rounds and lifted pairs of one row sit beside rows with none."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for period, changes in shapes:
+        row = rng.integers(1, sigma + 1, size=n)
+        if period:
+            row = np.resize(row[:period], n)
+            row[rng.integers(0, n, size=changes)] = rng.integers(1, sigma + 1, size=changes)
+        rows.append(row)
+    block = np.array(rows)
+    sa, lcp = trees.suffix_arrays(block)
+    for row, row_sa, row_lcp in zip(block.tolist(), sa.tolist(), lcp.tolist()):
+        assert (row_sa, row_lcp) == suffixes_by_python_sort(row), row
+
+
 @pytest.mark.parametrize(
     "block,message",
     [
         (np.ones((3, 0), dtype=np.int64), "empty strings"),
         (np.array([[1, 0, 2]]), "at least 1"),
         (np.array([[2, -1], [1, 1]]), "at least 1"),
+        pytest.param(np.array([1, 2, 1]), r"block must be 2-D, got shape \(3,\)", id="1-D"),
+        pytest.param(np.ones((1, 2, 3), dtype=np.int64), r"block must be 2-D, got shape \(1, 2, 3\)", id="3-D"),
     ],
 )
 def test_kernel_refuses_blocks_outside_its_domain(block, message):
