@@ -25,9 +25,6 @@ FLAGS = {
     "--sigma": dict(type=int, default=None, help="alphabet size (default: inferred or 2)"),
     "--seed": dict(type=int, default=1, help="RNG seed for sampled commands"),
     "--samples": dict(type=int, default=1000, help="Monte Carlo sample count"),
-    "--budget": dict(
-        type=int, default=counting.DEFAULT_BUDGET, help="max strings an exhaustive sweep may enumerate"
-    ),
     "--workers": dict(type=int, default=1, help="at least 1; no command runs workers today"),
     "--format": dict(choices=("csv", "json"), default="csv", help="table output format"),
     "--out": dict(type=Path, default=None, help="write output to this file instead of stdout"),
@@ -63,22 +60,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, required=True)
 
     p = command(
-        "omega", cmd_omega, "--sigma --budget --workers --format --out",
+        "omega", cmd_omega, "--sigma --workers --format --out",
         "exhaustive growth counts for one n", sigma=2,
     )
     p.add_argument("--n", type=int, required=True)
 
-    command("verify", cmd_verify, "--seed --budget --workers --out", "run every desk-scale correctness check")
+    p = command("verify", cmd_verify, "--seed --workers --out", "run every desk-scale correctness check")
+    p.add_argument(
+        "--budget", type=int, default=counting.DEFAULT_BUDGET, help="max strings an exhaustive sweep may enumerate"
+    )
 
     p = command(
-        "expect-growth", cmd_expect_growth, "--sigma --seed --samples --budget --format --out",
+        "expect-growth", cmd_expect_growth, "--sigma --seed --samples --format --out",
         "mean growth of random strings", sigma=2,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("montecarlo", "exhaustive"), default="montecarlo")
 
     p = command(
-        "expect-size", cmd_expect_size, "--sigma --seed --samples --budget --workers --format --out",
+        "expect-size", cmd_expect_size, "--sigma --seed --samples --workers --format --out",
         "mean simple-tree size of random strings", sigma=2,
     )
     p.add_argument("--n-list", type=str, required=True, help="comma-separated lengths, ascending")
@@ -144,7 +144,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    rows = experiments.growth_count_table(args.n, args.sigma, budget=args.budget)
+    rows = experiments.growth_count_table(args.n, args.sigma)
     _emit_rows(args, experiments.GrowthCountRow, rows)
     return 0
 
@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_expect_growth(args: argparse.Namespace) -> int:
     rows = experiments.expected_growth(
-        args.n, args.sigma, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
+        args.n, args.sigma, mode=args.mode, samples=args.samples, seed=args.seed
     )
     _emit_rows(args, experiments.ExpectationRow, rows)
     return 0
@@ -176,7 +176,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 def cmd_expect_size(args: argparse.Namespace) -> int:
     rows = experiments.expected_size(
         _parse_n_list(args.n_list), args.sigma,
-        mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget,
+        mode=args.mode, samples=args.samples, seed=args.seed,
     )
     _emit_rows(args, experiments.SizeRow, rows)
     return 0

@@ -4,8 +4,9 @@ Everything here is integer arithmetic on Python ints, so the counts and
 the inequalities between them are exact at any size. Growth counts come
 by two independent routes: growth_histogram enumerates every string, and
 growth_counts sums over prefix autocorrelation classes without
-enumerating any. Both refuse sizes above an explicit budget before
-doing any work.
+enumerating any. Both refuse sizes above a limit before doing any work:
+the enumeration, sigma^n strings above an explicit budget; the classes,
+n above the fixed cap MAX_EXACT_N.
 
 numpy, which only the brute-force oracle uses, is imported there, so
 importing this module does not load it.
@@ -167,112 +168,148 @@ def growth_histogram(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[i
 # Growth counts by autocorrelation classes
 # ---------------------------------------------------------------------------
 
+#: Largest n the counting route answers. At n = 64 one pass takes about
+#: 0.4 s and 25 MB peak RSS for any sigma (2-CPU Xeon, Python 3.11). The
+#: cost follows the number of period sets, 5,651 at length 64, which grows
+#: faster than any power of n (OEIS A005434).
+MAX_EXACT_N = 64
 
-def _class_counts(length: int, r_max: int) -> list[int]:
-    """comp(length, T) for every set T of periods drawn from 1..r_max.
 
-    T is a bitmask with bit p-1 standing for period p; comp counts the
-    classes of positions 0..length-1 under i ~ i+p for p in T, so exactly
-    sigma^comp strings of that length have every period in T. Each set
-    extends the set without its largest period by one union-find pass;
-    a class's root is its smallest position, so the stored labels are
-    already a flat forest.
+def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
+    """pops[length][T]: the number of words of that length over sigma
+    symbols whose set of proper periods is exactly T, for every length
+    0..length_max and every T that occurs.
+
+    T is a bitmask with bit p-1 standing for period p. Only the sets that
+    occur are built, by smallest period p (Guibas and Odlyzko, 1981;
+    Rivals and Rahmann, 2003). A word w with period p has the border
+    u = w[1..length-p], and q > p is a period of w exactly when q - p is a
+    period of u; so the sets with smallest period p are {p} | (p + T')
+    for period sets T' of length - p:
+    - if 2p <= length, w is fixed by u, which must then have period p
+      itself (unless length - p = p); p is w's smallest period exactly
+      when no proper divisor of p is a period of u (Fine and Wilf), and
+      pop(T) = pop(T');
+    - if 2p > length, w = u x u with x free, and pop(T) is
+      sigma^(2p-length) * pop(T') less the words of that shape whose
+      smallest period is below p. Those have p as a period and p + T' as
+      their periods above p, so each set is filed, once computed, under
+      every period q > length/2 it has above its minimum, keyed by its
+      periods above q shifted by q.
+    The empty set takes the words left over.
     """
-    labels = [list(range(length))]
-    comps = [length]
-    for mask in range(1, 1 << r_max):
-        p = mask.bit_length()
-        base = mask ^ (1 << (p - 1))
-        par = labels[base][:]
-        comp = comps[base]
-        for i in range(length - p):
-            a = par[i]
-            while par[a] != a:
-                a = par[a]
-            b = par[i + p]
-            while par[b] != b:
-                b = par[b]
-            if a != b:
-                comp -= 1
-                if a < b:
-                    par[b] = a
-                else:
-                    par[a] = b
-        for i in range(length):
-            par[i] = par[par[i]]
-        labels.append(par)
-        comps.append(comp)
-    return comps
+    pops = [{0: 1}]
+    # containing[m][p]: the (T', pop) of length m with p in T', for the
+    # p <= length_max - m that the recursion can still ask for
+    containing: list[list[list[tuple[int, int]]]] = [[]]
+    for length in range(1, length_max + 1):
+        sets: dict[int, int] = {}
+        buckets: list[dict[int, int]] = [{} for _ in range(length)]
+        half = length // 2
+        for p in range(1, length):
+            m = length - p
+            bit = 1 << (p - 1)
+            if 2 * p <= length:
+                bad = sum(1 << (d - 1) for d in proper_divisors(p))
+                sources = pops[m].items() if m == p else containing[m][p]
+                new = [((t << p) | bit, c) for t, c in sources if not t & bad]
+            else:
+                factor = sigma ** (2 * p - length)
+                bucket = buckets[p]
+                new = [((t << p) | bit, factor * c - bucket.get(t, 0)) for t, c in pops[m].items()]
+            low_q = max(p, half)
+            for t, c in new:
+                sets[t] = c
+                rest = t >> low_q
+                while rest:
+                    low = rest & -rest
+                    q = low_q + low.bit_length()
+                    bucket = buckets[q]
+                    bucket[t >> q] = bucket.get(t >> q, 0) + c
+                    rest ^= low
+        sets[0] = sigma**length - sum(sets.values())
+        pops.append(sets)
+        reach = min(length - 1, length_max - length)
+        index: list[list[tuple[int, int]]] = [[] for _ in range(reach + 1)]
+        for t, c in sets.items():
+            rest = t & ((1 << reach) - 1)
+            while rest:
+                low = rest & -rest
+                index[low.bit_length()].append((t, c))
+                rest ^= low
+        containing.append(index)
+    return pops
 
 
-def _prefix_unique_count(n: int, length: int, sigma: int) -> int:
-    """N(length): length-n strings whose prefix of that length occurs
-    nowhere else in them, for 1 <= length < n.
+def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
+    """growth_counts(n, sigma) for every n = 1..n_max from one pass, at
+    index n; index 0 holds an empty dict.
 
-    With r = n - length, Guibas and Odlyzko's generating function counts
-    the strings that start with w and contain w only there as
+    A string has growth at least k exactly when its prefix of length
+    n - k + 1 occurs nowhere else in it, so count(k) = N(n-k+1) - N(n-k),
+    where N(length) counts the length-n strings whose prefix of that
+    length occurs only once, N(n) = sigma^n and N(0) = 0. With
+    r = n - length, Guibas and Odlyzko's generating function counts the
+    strings that start with a word w and contain it only there as
     [z^r] 1 / (z^length [length <= r] + (1 - sigma z) c_w(z)), where
-    c_w(z) = 1 + sum of z^p over the periods p of w. Periods above
-    r_max = min(r, length - 1) cannot reach z^r, so w only matters through
-    its period set within 1..r_max. The number of w with each exact set
-    follows from the counts sigma^comp of _class_counts by a superset
-    Moebius transform.
+    c_w(z) = 1 + sum of z^p over the periods p of w. For each length the
+    words are taken by period set, from period_set_populations, merged by
+    their periods up to min(n_max - length, length - 1), since no larger
+    one reaches a coefficient up to z^(n_max - length). Each merged class
+    is expanded once, and its coefficient r counts toward n = length + r.
+    n_max above MAX_EXACT_N is refused before any work.
     """
-    r = n - length
-    r_max = min(r, length - 1)
-    size = 1 << r_max
-    pop = [sigma**c for c in _class_counts(length, r_max)]
-    for b in range(r_max):
-        bit = 1 << b
-        for mask in range(size):
-            if not mask & bit:
-                pop[mask] -= pop[mask | bit]
-    total = 0
-    for mask, count in enumerate(pop):
-        if not count:
-            continue
-        # denominator d(z) up to z^r, then 1/d(z) by the usual recurrence
-        periods = [p for p in range(1, r_max + 1) if mask >> (p - 1) & 1]
-        d = [0] * (r + 1)
-        for p in (0, *periods):
-            d[p] += 1
-            if p < r:
-                d[p + 1] -= sigma
-        if length <= r:
-            d[length] += 1
-        terms = [(i, c) for i, c in enumerate(d) if i and c]
-        inv = [1] + [0] * r
-        for m in range(1, r + 1):
-            inv[m] = -sum(c * inv[m - i] for i, c in terms if i <= m)
-        total += count * inv[r]
-    return total
+    if n_max < 1:
+        raise ValueError(f"length must be at least 1, got {n_max}")
+    if sigma < 1:
+        raise ValueError(f"alphabet size must be at least 1, got {sigma}")
+    if n_max > MAX_EXACT_N:
+        raise ValueError(f"exact counts reach n = {MAX_EXACT_N}, got n = {n_max}")
+    pops = period_set_populations(n_max - 1, sigma)
+    # unique[n][length] = N(length) for strings of length n
+    unique = [[0] * n + [sigma**n] for n in range(n_max + 1)]
+    for length in range(1, n_max):
+        r_top = n_max - length
+        keep = (1 << min(r_top, length - 1)) - 1
+        merged: dict[int, int] = {}
+        for t, c in pops[length].items():
+            merged[t & keep] = merged.get(t & keep, 0) + c
+        rs = range(1, r_top + 1)
+        acc = [0] * (r_top + 1)
+        for t, c in merged.items():
+            periods = [p for p in rs if t >> (p - 1) & 1]
+            # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
+            # satisfies c(z) g = 1 - z^length f, so each step costs one
+            # term per period
+            f = [1]
+            g = [1]
+            for m in rs:
+                x = -f[m - length] if m >= length else 0
+                for p in periods:
+                    if p > m:
+                        break
+                    x -= g[m - p]
+                g.append(x)
+                f.append(x + sigma * f[m - 1])
+            for r in rs:
+                acc[r] += c * f[r]
+        for r in rs:
+            unique[length + r][length] = acc[r]
+    return [{}] + [
+        {k: unique[n][n - k + 1] - unique[n][n - k] for k in range(1, n + 1)}
+        for n in range(1, n_max + 1)
+    ]
 
 
-def growth_counts(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+def growth_counts(n: int, sigma: int) -> dict[int, int]:
     """Exact counts {k: number of length-n strings with growth k} for k = 1..n,
     equal to growth_histogram(n, sigma) but found without enumerating strings.
 
-    A string has growth at least k exactly when its prefix of length
-    n - k + 1 occurs nowhere else in it, so count(k) = N(n-k+1) - N(n-k)
-    with N(n) = sigma^n, N(0) = 0 and the other N from
-    _prefix_unique_count. Each prefix length visits at most 2^((n-1)/2)
-    period sets, (n-1) * 2^((n-1)/2) in all, which for sigma >= 2 is below
-    sigma^n; so the enumeration budget, checked as for growth_histogram,
-    bounds this work too.
+    The work depends on n, not on sigma^n: it follows the number of period
+    sets of lengths below n, about 5,600 at length 63. n above
+    MAX_EXACT_N is refused before any work.
     """
-    if n < 1:
-        raise ValueError(f"length must be at least 1, got {n}")
-    if sigma < 1:
-        raise ValueError(f"alphabet size must be at least 1, got {sigma}")
-    total = sigma**n
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    if sigma == 1:
-        # a^n is the only string; it shares n-1 symbols with its suffix
-        # from position 2, so its growth is 1
-        return {k: int(k == 1) for k in range(1, n + 1)}
-    unique = [0] + [_prefix_unique_count(n, m, sigma) for m in range(1, n)] + [total]
-    return {k: unique[n - k + 1] - unique[n - k] for k in range(1, n + 1)}
+    return growth_counts_up_to(n, sigma)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +341,7 @@ def check_growth_bound(
         hist = growth_histogram(n, sigma, budget=budget)
         if sum(hist.values()) != sigma**n:
             failures.append(("partition", n))
-        if growth_counts(n, sigma, budget=budget) != hist:
+        if growth_counts(n, sigma) != hist:
             failures.append(("route", n))
         for k in range(1, min(k_max, n // 2) + 1):
             pairs += 1

@@ -170,14 +170,14 @@ def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
     ]
 
 
-def growth_count_table(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> list[GrowthCountRow]:
+def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
     """Exact growth counts for every k = 1..n, next to their bounds.
 
     The counts come from counting.growth_counts, which enumerates no
-    strings; budget still refuses sigma^n above it.
+    strings and refuses n above counting.MAX_EXACT_N.
     """
     _check_sigma(sigma)
-    hist = counting.growth_counts(n, sigma, budget=budget)
+    hist = counting.growth_counts(n, sigma)
     rows = []
     for k in range(1, n + 1):
         bound = counting.growth_bound(k, sigma)
@@ -202,16 +202,20 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, statistics.stdev(values) / math.sqrt(len(values))
 
 
-def exact_expected_growth(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> Fraction:
+def _mean_growth(hist: dict[int, int], sigma: int) -> Fraction:
+    """The mean of a growth histogram {k: count} over k = 1..n, which
+    covers all sigma^n strings."""
+    return Fraction(sum(k * c for k, c in hist.items()), sigma ** len(hist))
+
+
+def exact_expected_growth(n: int, sigma: int) -> Fraction:
     """Exact mean growth over all sigma^n strings."""
-    hist = counting.growth_counts(n, sigma, budget=budget)
-    total = sum(k * c for k, c in hist.items())
-    return Fraction(total, sigma**n)
+    return _mean_growth(counting.growth_counts(n, sigma), sigma)
 
 
 def expected_growth(
     n: int, sigma: int, *,
-    mode: str = "montecarlo", samples: int = 1000, seed: int = 1, budget: int = counting.DEFAULT_BUDGET,
+    mode: str = "montecarlo", samples: int = 1000, seed: int = 1,
 ) -> list[ExpectationRow]:
     """Estimate the mean growth of length-n strings.
 
@@ -228,7 +232,7 @@ def expected_growth(
     """
     _check_sampling(sigma, mode, samples)
     if mode == "exhaustive":
-        exact = exact_expected_growth(n, sigma, budget=budget)
+        exact = exact_expected_growth(n, sigma)
         return [
             ExpectationRow(
                 sigma=sigma,
@@ -274,7 +278,19 @@ def expected_growth(
     return rows
 
 
-def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGET) -> Fraction:
+def _exact_expected_sizes(n_max: int, sigma: int) -> list[Fraction]:
+    """exact_expected_size(n, sigma) for every n = 1..n_max, at index n,
+    from one counting.growth_counts_up_to pass."""
+    counts = counting.growth_counts_up_to(n_max, sigma)
+    sizes = [Fraction(0), Fraction(3)]  # index 0 is unused
+    growth_sum = Fraction(0)
+    for length in range(2, n_max + 1):
+        growth_sum += _mean_growth(counts[length], sigma)
+        sizes.append(length + 2 + growth_sum)
+    return sizes
+
+
+def exact_expected_size(n: int, sigma: int) -> Fraction:
     """Exact mean node count of the simple tree over all sigma^n strings.
 
     By the growth-sum identity (trees.growth_sum_identity), the simple tree
@@ -283,19 +299,11 @@ def exact_expected_size(n: int, sigma: int, budget: int = counting.DEFAULT_BUDGE
     L = n - m + 1 is uniform over all sigma^L strings, so by linearity of
     expectation
         E[nodes(n)] = n + 2 + sum_{L=2..n} E[growth(L)],
-    and each E[growth(L)] is exact from exact_expected_growth. No string is
-    enumerated; sigma^n above the budget is still refused, and it bounds
-    every shorter L too.
+    and every E[growth(L)] is exact from one counting.growth_counts_up_to
+    pass. No string is enumerated; n above counting.MAX_EXACT_N is refused
+    before any work.
     """
-    if n < 1:
-        raise ValueError(f"length must be at least 1, got {n}")
-    required = sigma**n
-    if required > budget:
-        raise counting.EnumerationBudgetError(required, budget)
-    return n + 2 + sum(
-        (exact_expected_growth(length, sigma, budget=budget) for length in range(2, n + 1)),
-        Fraction(0),
-    )
+    return _exact_expected_sizes(n, sigma)[n]
 
 
 #: symbols per kernel call in expected_size; larger blocks cost peak memory
@@ -304,39 +312,40 @@ _BLOCK_CELLS = 1 << 13
 
 def expected_size(
     n_list: Sequence[int], sigma: int, *,
-    mode: str = "montecarlo", samples: int = 1000, seed: int = 1, budget: int = counting.DEFAULT_BUDGET,
+    mode: str = "montecarlo", samples: int = 1000, seed: int = 1,
 ) -> list[SizeRow]:
     """Mean simple-tree node count for each n in n_list, with mean/n^2.
 
     Monte Carlo samples are drawn in blocks of about _BLOCK_CELLS symbols,
     the symbols one random_string call per sample would draw, and each
     block is counted by one trees.simple_tree_sizes call: no tree is built.
+    Exhaustive means come from one counting pass up to the largest n.
     """
     _check_sampling(sigma, mode, samples)
     if not n_list:
         raise ValueError("expected-size needs at least one n")
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    rows = []
-    rng = new_rng(seed) if mode == "montecarlo" else None
-    for n in n_list:
-        if mode == "exhaustive":
-            exact = exact_expected_size(n, sigma, budget=budget)
-            rows.append(
-                SizeRow(
-                    sigma=sigma,
-                    n=n,
-                    mode="exhaustive",
-                    samples=sigma**n,
-                    mean=float(exact),
-                    stderr=0.0,
-                    mean_over_n2=float(exact / n**2),
-                    mean_exact=exact,
-                )
+    if n_list[0] < 1:
+        raise ValueError(f"length must be at least 1, got {n_list[0]}")
+    if mode == "exhaustive":
+        sizes = _exact_expected_sizes(n_list[-1], sigma)
+        return [
+            SizeRow(
+                sigma=sigma,
+                n=n,
+                mode="exhaustive",
+                samples=sigma**n,
+                mean=float(sizes[n]),
+                stderr=0.0,
+                mean_over_n2=float(sizes[n] / n**2),
+                mean_exact=sizes[n],
             )
-            continue
-        if n < 1:
-            raise ValueError(f"length must be at least 1, got {n}")
+            for n in n_list
+        ]
+    rows = []
+    rng = new_rng(seed)
+    for n in n_list:
         vals = []
         per_block = max(1, _BLOCK_CELLS // n)
         for done in range(0, samples, per_block):

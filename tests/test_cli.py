@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import suffixlab
-from suffixlab import cli, trees
+from suffixlab import cli, counting, trees
 from suffixlab.strings import from_text
 
 
@@ -60,9 +60,12 @@ def test_omega_table(capsys):
 
 
 def test_omega_budget_error_exits_2(capsys):
-    code, _, err = run_cli(["omega", "--sigma", "2", "--n", "30"], capsys)
-    assert code == 2
-    assert "budget" in err
+    # the counting route's only limit is a cap on n
+    n = counting.MAX_EXACT_N
+    assert run_cli(["omega", "--n", str(n), "--format", "json"], capsys)[0] == 0
+    code, out, err = run_cli(["omega", "--n", str(n + 1)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: exact counts reach n = {n}, got n = {n + 1}\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -144,10 +147,10 @@ OPTIONS = {
     "search": "--sigma --out",
     "mu": "--sigma --format --out --max-j",
     "phi": "--sigma --format --out --max-k",
-    "omega": "--sigma --budget --workers --format --out --n",
-    "verify": "--seed --budget --workers --out",
-    "expect-growth": "--sigma --seed --samples --budget --format --out --n --mode",
-    "expect-size": "--sigma --seed --samples --budget --workers --format --out --n-list --mode",
+    "omega": "--sigma --workers --format --out --n",
+    "verify": "--seed --workers --out --budget",
+    "expect-growth": "--sigma --seed --samples --format --out --n --mode",
+    "expect-size": "--sigma --seed --samples --workers --format --out --n-list --mode",
 }
 
 

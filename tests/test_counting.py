@@ -1,4 +1,9 @@
+from collections import Counter
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suffixlab import cli, counting
 from suffixlab.counting import (
@@ -10,7 +15,9 @@ from suffixlab.counting import (
     growth_bound,
     growth_bound_prefix_sum,
     growth_counts,
+    growth_counts_up_to,
     growth_histogram,
+    period_set_populations,
     proper_divisors,
 )
 from suffixlab.experiments import growth_count_table
@@ -157,10 +164,13 @@ def test_growth_counts_rejects_what_enumeration_rejects(n, sigma):
 
 
 def test_growth_counts_budget_error_reports_required():
-    with pytest.raises(EnumerationBudgetError) as err:
-        growth_counts(30, 2)
-    assert err.value.required == 2**30
-    assert err.value.budget == counting.DEFAULT_BUDGET
+    # the cap is on n alone: n = MAX_EXACT_N + 1 is refused at every sigma,
+    # and below the cap a sigma^n far above the enumeration budget is answered
+    n = counting.MAX_EXACT_N
+    for sigma in (2, 26):
+        with pytest.raises(ValueError, match=f"^exact counts reach n = {n}, got n = {n + 1}$"):
+            growth_counts(n + 1, sigma)
+    assert sum(growth_counts(30, 2).values()) == 2**30
 
 
 @pytest.mark.parametrize("sigma,n_max", [(2, 24), (3, 12)])
@@ -170,6 +180,176 @@ def test_growth_counts_partition_and_top_count_beyond_enumeration(sigma, n_max):
         assert sorted(hist) == list(range(1, n + 1))
         assert sum(hist.values()) == sigma**n
         assert hist[n] == sigma * (sigma - 1) ** (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Period-set populations, and the subset oracle they replaced
+# ---------------------------------------------------------------------------
+
+
+def period_mask(word) -> int:
+    """The proper periods of word as a bitmask, bit p-1 for period p, by definition."""
+    n = len(word)
+    mask = 0
+    for p in range(1, n):
+        if all(word[i] == word[i + p] for i in range(n - p)):
+            mask |= 1 << (p - 1)
+    return mask
+
+
+def merged(populations: dict[int, int], r_max: int) -> dict[int, int]:
+    """Populations merged by the periods each set has within 1..r_max."""
+    out: dict[int, int] = {}
+    for t, c in populations.items():
+        key = t & ((1 << r_max) - 1)
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def subset_populations(length: int, r_max: int, sigma: int) -> dict[int, int]:
+    """Oracle: the number of words of that length whose periods within
+    1..r_max are exactly T, for every T that occurs.
+
+    Every subset T of 1..r_max gets the number of classes of positions
+    0..length-1 under i ~ i+p for p in T, by one union-find pass over the
+    subset without its largest period; sigma^classes words have every
+    period in T, and a superset Moebius transform leaves the words whose
+    period set is exactly T. It visits all 2^r_max subsets.
+    """
+    labels = [list(range(length))]
+    comps = [length]
+    for mask in range(1, 1 << r_max):
+        p = mask.bit_length()
+        par = labels[mask ^ (1 << (p - 1))][:]
+        comp = comps[mask ^ (1 << (p - 1))]
+        for i in range(length - p):
+            a = par[i]
+            while par[a] != a:
+                a = par[a]
+            b = par[i + p]
+            while par[b] != b:
+                b = par[b]
+            if a != b:
+                comp -= 1
+                par[max(a, b)] = min(a, b)
+        for i in range(length):
+            par[i] = par[par[i]]
+        labels.append(par)
+        comps.append(comp)
+    pop = [sigma**c for c in comps]
+    for b in range(r_max):
+        bit = 1 << b
+        for mask in range(1 << r_max):
+            if not mask & bit:
+                pop[mask] -= pop[mask | bit]
+    return {mask: c for mask, c in enumerate(pop) if c}
+
+
+def growth_counts_by_subsets(n: int, sigma: int, populations) -> dict[int, int]:
+    """Oracle: growth counts of length-n strings, one n at a time.
+
+    populations(length, r_max) gives the words of each prefix length by
+    their periods within r_max = min(n - length, length - 1); each class
+    adds pop * [z^r] 1 / (z^length [length <= r] + (1 - sigma z) c_T(z))
+    with r = n - length, expanded by the plain recurrence on 1/d.
+    """
+    unique = [0]
+    for length in range(1, n):
+        r = n - length
+        total = 0
+        for mask, count in populations(length, min(r, length - 1)).items():
+            d = [0] * (r + 1)
+            for p in (0, *(p for p in range(1, r + 1) if mask >> (p - 1) & 1)):
+                d[p] += 1
+                if p < r:
+                    d[p + 1] -= sigma
+            if length <= r:
+                d[length] += 1
+            inv = [1] + [0] * r
+            for m in range(1, r + 1):
+                inv[m] = -sum(d[i] * inv[m - i] for i in range(1, m + 1))
+            total += count * inv[r]
+        unique.append(total)
+    unique.append(sigma**n)
+    return {k: unique[n - k + 1] - unique[n - k] for k in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("sigma,n_max", [(2, 30), (3, 16)])
+def test_merged_populations_and_counts_equal_the_subset_oracle(sigma, n_max):
+    pops = period_set_populations(n_max - 1, sigma)
+    counts = growth_counts_up_to(n_max, sigma)
+    oracle = {}
+
+    def populations(length, r_max):
+        if (length, r_max) not in oracle:
+            oracle[length, r_max] = subset_populations(length, r_max, sigma)
+            assert merged(pops[length], r_max) == oracle[length, r_max], (length, r_max)
+        return oracle[length, r_max]
+
+    for n in range(1, n_max + 1):
+        assert counts[n] == growth_counts_by_subsets(n, sigma, populations), (sigma, n)
+        assert growth_counts(n, sigma) == counts[n]
+
+
+def test_period_set_counts_are_oeis_a005434():
+    # the number of distinct period sets (autocorrelations) of each length
+    kappa = [1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 27, 30, 37, 47, 57, 62]
+    for sigma in (2, 3):
+        assert [len(sets) for sets in period_set_populations(16, sigma)[1:]] == kappa
+
+
+def unbordered(length: int, sigma: int) -> int:
+    """Words with no proper period, by Nielsen's recurrence (1973):
+    u(2k+1) = sigma u(2k) and u(2k) = sigma u(2k-1) - u(k), from adding a
+    middle symbol to an unbordered word; of the words of even length made
+    so, exactly the squares uu of unbordered u are bordered."""
+    if length == 1:
+        return sigma
+    previous = sigma * unbordered(length - 1, sigma)
+    return previous - unbordered(length // 2, sigma) if length % 2 == 0 else previous
+
+
+@pytest.mark.parametrize("sigma,length_max", [(1, 20), (2, 64), (3, 30), (5, 20)])
+def test_populations_sum_to_sigma_to_the_length(sigma, length_max):
+    pops = period_set_populations(length_max, sigma)
+    assert pops[0] == {0: 1}
+    for length in range(1, length_max + 1):
+        assert sum(pops[length].values()) == sigma**length
+        # the empty set takes what the other sets leave, so an independent
+        # count of it checks their sum
+        assert pops[length][0] == unbordered(length, sigma), (sigma, length)
+        if sigma >= 2:
+            assert min(pops[length].values()) > 0
+
+
+@pytest.mark.parametrize("sigma,length_max", [(1, 8), (2, 12), (3, 8), (4, 6)])
+def test_populations_equal_brute_force_period_sets(sigma, length_max):
+    pops = period_set_populations(length_max, sigma)
+    for length in range(1, length_max + 1):
+        counted = Counter(period_mask(word) for word in enumerate_strings(length, sigma))
+        assert {t: c for t, c in pops[length].items() if c} == counted, (sigma, length)
+
+
+@cache
+def populations_to_64(sigma):
+    return period_set_populations(64, sigma)
+
+
+# deadline=None: the first example builds the populations
+@settings(deadline=None)
+@given(
+    sigma=st.integers(2, 4),
+    base=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+    length=st.integers(1, 64),
+    flip=st.none() | st.integers(0, 63),
+)
+def test_period_set_of_any_word_has_a_population(sigma, base, length, flip):
+    # repeating a short base, maybe with one symbol changed, gives words
+    # with many periods, which uniform words almost never have
+    word = [base[i % len(base)] % sigma for i in range(length)]
+    if flip is not None:
+        word[flip % length] = (word[flip % length] + 1) % sigma
+    assert populations_to_64(sigma)[length].get(period_mask(word), 0) > 0
 
 
 def test_growth_count_table_and_omega_enumerate_nothing(monkeypatch, capsys):
@@ -196,8 +376,8 @@ def test_check_growth_bound_report():
 def test_check_growth_bound_reports_a_counting_route_that_disagrees(monkeypatch):
     real = counting.growth_counts
 
-    def off_by_one_at_7(n, sigma, budget=counting.DEFAULT_BUDGET):
-        hist = real(n, sigma, budget=budget)
+    def off_by_one_at_7(n, sigma):
+        hist = real(n, sigma)
         if n == 7:
             hist[1] += 1
         return hist

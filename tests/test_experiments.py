@@ -1,6 +1,7 @@
 import math
 import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -127,10 +128,27 @@ def test_exact_expected_size_equals_per_string_sum(sigma, n_max):
         assert exact_expected_size(n, sigma) == expected_size_by_enumeration(n, sigma), (sigma, n)
 
 
-def test_exact_expected_size_budget_error():
-    with pytest.raises(counting.EnumerationBudgetError) as err:
-        exact_expected_size(30, 2)
-    assert err.value.required == 2**30
+def test_exact_expected_size_budget_error(monkeypatch):
+    n = counting.MAX_EXACT_N
+
+    def no_work(length_max, sigma):
+        raise AssertionError("the refusal must come before any work")
+
+    monkeypatch.setattr(counting, "period_set_populations", no_work)
+    with pytest.raises(ValueError, match=f"^exact counts reach n = {n}, got n = {n + 1}$"):
+        exact_expected_size(n + 1, 2)
+    with pytest.raises(ValueError, match=f"got n = {n + 1}$"):
+        expected_size((8, n + 1), 2, mode="exhaustive")
+
+
+def test_exact_mean_at_64_agrees_with_the_monte_carlo_golden():
+    # seed 1, 200 samples: the n = 64 row of `expect-size` in the golden CSV
+    golden = (Path(__file__).parent / "golden" / "expect_size_seed1.csv").read_text()
+    row = next(line.split(",") for line in golden.splitlines() if line.startswith("2,64,"))
+    mean, stderr = float(row[4]), float(row[5])
+    exact = exact_expected_size(64, 2)
+    assert float(exact) == pytest.approx(1849.98613, abs=1e-5)
+    assert abs(float(exact) - mean) <= 3 * stderr, (float(exact), mean, stderr)
 
 
 def test_exact_expected_size_tiny():
@@ -209,8 +227,9 @@ def test_growth_count_table_partitions():
 
 
 def test_growth_count_table_budget_error():
-    with pytest.raises(counting.EnumerationBudgetError):
-        growth_count_table(30, 2)
+    n = counting.MAX_EXACT_N
+    with pytest.raises(ValueError, match=f"^exact counts reach n = {n}, got n = {n + 1}$"):
+        growth_count_table(n + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +260,8 @@ def test_verification_detects_a_tampered_bound(monkeypatch):
 def test_verification_detects_a_wrong_counting_route(monkeypatch):
     real = counting.growth_counts
 
-    def shifted(n, sigma, budget=counting.DEFAULT_BUDGET):
-        hist = real(n, sigma, budget=budget)
+    def shifted(n, sigma):
+        hist = real(n, sigma)
         hist[n] -= 1
         hist[1] += 1
         return hist
