@@ -317,12 +317,7 @@ def growth_counts(n: int, sigma: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def check_growth_bound(
-    sigma: int,
-    k_max: int,
-    n_max: int,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[int, list[tuple]]:
+def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tuple]]:
     """Compare exhaustive growth counts against growth_bound.
 
     For every k <= k_max and every n with 2k <= n <= n_max the exhaustive
@@ -338,7 +333,7 @@ def check_growth_bound(
     pairs = 0
     failures: list[tuple] = []
     for n in range(2, n_max + 1):
-        hist = growth_histogram(n, sigma, budget=budget)
+        hist = growth_histogram(n, sigma)
         if sum(hist.values()) != sigma**n:
             failures.append(("partition", n))
         if growth_counts(n, sigma) != hist:

@@ -479,11 +479,11 @@ def _aperiodic_bruteforce(*, limit: int = 1 << 16) -> tuple[bool, str]:
     return ok, f"enumeration matches the recurrence on {pairs} (sigma, j) pairs" if ok else f"failures: {bad}"
 
 
-def _growth_count_bound(*, budget: int = counting.DEFAULT_BUDGET) -> tuple[bool, str]:
+def _growth_count_bound() -> tuple[bool, str]:
     checked = 0
     bad = []
     for sigma, k_max, n_max in ((2, 5, 12), (3, 3, 7)):
-        pairs, failures = counting.check_growth_bound(sigma, k_max=k_max, n_max=n_max, budget=budget)
+        pairs, failures = counting.check_growth_bound(sigma, k_max=k_max, n_max=n_max)
         checked += pairs
         bad += [(sigma, *failure) for failure in failures]
     ok = not bad
@@ -616,14 +616,14 @@ CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
 }
 
 
-def run_verification(seed: int = 1, budget: int = counting.DEFAULT_BUDGET) -> VerificationReport:
-    """Every check in CHECKS at its default sizes, with seed and budget
-    given to the checks that take them.
+def run_verification(seed: int = 1) -> VerificationReport:
+    """Every check in CHECKS at its default sizes, with seed given to the
+    checks that take it.
 
     Mathematical violations show up as failed checks (the CLI maps them
-    to a nonzero exit), never as exceptions; budget problems raise.
+    to a nonzero exit), never as exceptions.
     """
-    settings = {"seed": seed, "budget": budget}
+    settings = {"seed": seed}
     report = VerificationReport()
     for name, check in CHECKS.items():
         takes = inspect.signature(check).parameters

@@ -38,11 +38,12 @@ if TYPE_CHECKING:
 
 
 class TreeBase:
-    """Arena of nodes shared by both trees.
+    """Arena of nodes shared by both trees, each edge recorded once.
 
-    children[v] maps an edge's first symbol to the child node id; parent[v]
-    is -1 for the root. leaves maps each suffix start position j (1-based)
-    to its leaf node.
+    children[v] maps an edge's first symbol to the child node id, so it
+    holds the whole shape: a node's parent is the node whose dict holds
+    it. leaves maps each suffix start position j (1-based) to its leaf
+    node.
     """
 
     root = 0
@@ -50,7 +51,6 @@ class TreeBase:
     def __init__(self, source: Str):
         self.source = source
         self.children: list[dict[int, int]] = [{}]
-        self.parent: list[int] = [-1]
         self.leaves: dict[int, int] = {}
 
     @property
@@ -74,18 +74,15 @@ class TreeBase:
 
 
 class SuffixTree(TreeBase):
-    """Simple suffix tree: one symbol per edge, and every leaf's incoming
-    edge is the terminator."""
+    """Simple suffix tree: one symbol per edge, kept only as the edge's key
+    in its parent's children; every leaf's incoming edge is the terminator.
 
-    def __init__(self, source: Str):
-        super().__init__(source)
-        #: internal nodes created by each suffix insertion, in insertion order
-        self.new_internal_per_suffix: list[int] = []
-        self._edge_symbol: list[int] = [TERMINATOR]  # unused slot for the root
-
-    def edge_label(self, child: int) -> str:
-        """Printable label of the edge entering `child`."""
-        return symbol_char(self._edge_symbol[child])
+    It stores nothing but source, children and leaves. Insertion j numbers
+    the nodes it creates consecutively, ending with leaf j: so the
+    internal nodes insertion j created are the ids strictly between
+    leaves[j - 1] (the root for j = 1) and leaves[j], and a node with one
+    child is followed by that child.
+    """
 
 
 def build_suffix_tree(s: Str) -> SuffixTree:
@@ -102,8 +99,6 @@ def build_suffix_tree(s: Str) -> SuffixTree:
     syms = s.symbols
     tree = SuffixTree(s)
     children = tree.children
-    parent = tree.parent
-    edge_symbol = tree._edge_symbol
     for j0 in range(n):
         v = 0
         p = j0
@@ -113,19 +108,14 @@ def build_suffix_tree(s: Str) -> SuffixTree:
                 break
             v = u
             p += 1
-        tree.new_internal_per_suffix.append(n - p)
         for sym in syms[p:]:
             w = len(children)
             children[v][sym] = w
             children.append({})
-            parent.append(v)
-            edge_symbol.append(sym)
             v = w
         leaf = len(children)
         children[v][TERMINATOR] = leaf
         children.append({})
-        parent.append(v)
-        edge_symbol.append(TERMINATOR)
         tree.leaves[j0 + 1] = leaf
     return tree
 
@@ -171,7 +161,6 @@ class CompactSuffixTree(TreeBase):
         """Every field that defines the tree, so that two builds compare with ==."""
         return (
             self.children,
-            self.parent,
             self.span,
             self.leaves,
             self.suffix_array,
@@ -399,12 +388,11 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     ends = list(map(add, map(first.__getitem__, edges), map(depth.__getitem__, edges)))
 
     tree = CompactSuffixTree(s)
-    tree.parent += map(cid.__getitem__, ups)
     tree.span += [(i + 1, j) if i < j else None for i, j in zip(starts, ends)]
     tree.interval = list(zip(map(lo.__getitem__, order), map(hi.__getitem__, order)))
     children = tree.children = [{} for _ in order]
     head = syms + (TERMINATOR,)  # first symbol of an edge
-    for v, u, i in zip(range(1, len(order)), tree.parent[1:], starts):
+    for v, u, i in zip(range(1, len(order)), map(cid.__getitem__, ups), starts):
         children[u][head[i]] = v
     tree.suffix_array = list(map((1).__add__, sa))
     tree.leaves = dict(zip(tree.suffix_array, cid[:n]))
@@ -419,16 +407,16 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
     """
     naive = build_suffix_tree(s)
     kids = naive.children
-    # build_suffix_tree gives the nodes each insertion creates consecutive
-    # ids, ending with the leaf: so the smallest suffix number below a node
-    # is that of the insertion that created it, and a node with one child
-    # is followed by that child
+    # by SuffixTree's numbering, the smallest suffix number below a node is
+    # that of the insertion that created it, and a node with one child is
+    # followed by that child
     rep = [1]
-    for j, created in enumerate(naive.new_internal_per_suffix, start=1):
-        rep += [j] * (created + 1)
+    for j, leaf in naive.leaves.items():
+        rep += [j] * (leaf + 1 - len(rep))
 
     tree = CompactSuffixTree(s)
-    children, parent, span, leaves = tree.children, tree.parent, tree.span, tree.leaves
+    children, span, leaves = tree.children, tree.span, tree.leaves
+    parent = [-1]
     stack = [(naive.root, tree.root, 0)]  # (simple node, compact node, symbol depth)
     while stack:
         nv, cv, depth = stack.pop()
@@ -486,18 +474,18 @@ def growth_via_lcp(s: Str) -> int:
 def growth_from_tree(tree: SuffixTree) -> int:
     """Growth read off a built simple tree.
 
-    Walk up from leaf 1 to the nearest ancestor with at least two
-    children and return the edge distance minus one. A single-suffix tree
-    has no such ancestor; the walk then stops at the root, which gives
-    growth 1 for one-symbol strings.
+    Walk down the path of suffix 1 and return n minus the depth of the
+    deepest node on it with at least two children, the root counting as
+    depth 0. That gives growth 1 for one-symbol strings.
     """
-    v = tree.leaves[1]
-    dist = 0
-    while True:
-        v = tree.parent[v]
-        dist += 1
-        if v == tree.root or len(tree.children[v]) >= 2:
-            return dist - 1
+    children = tree.children
+    v = tree.root
+    deepest = 0
+    for depth, sym in enumerate(tree.source.symbols, start=1):
+        v = children[v][sym]
+        if len(children[v]) >= 2:
+            deepest = depth
+    return len(tree.source) - deepest
 
 
 def growth_via_tree(s: Str) -> int:
@@ -590,11 +578,13 @@ def to_dot(tree: SuffixTree | CompactSuffixTree) -> str:
     labelled with their suffix numbers."""
     lines = ["digraph suffixtree {", "  node [shape=circle];"]
     suffix_of_leaf = {leaf: j for j, leaf in tree.leaves.items()}
+    compact = isinstance(tree, CompactSuffixTree)
     for v in range(tree.node_count):
         lines.append(f'  n{v} [label="{suffix_of_leaf.get(v, "")}"];')
     for v in range(tree.node_count):
-        for _, child in tree.sorted_children(v):
-            lines.append(f'  n{v} -> n{child} [label="{tree.edge_label(child)}"];')
+        for sym, child in tree.sorted_children(v):
+            label = tree.edge_label(child) if compact else symbol_char(sym)
+            lines.append(f'  n{v} -> n{child} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -4,15 +4,17 @@ from suffixlab.trees import CompactSuffixTree
 
 def path_symbols(tree, j: int) -> tuple[int, ...]:
     """Symbols along the root-to-leaf-j path of either tree, terminator included."""
+    up = {child: (v, sym) for v, below in enumerate(tree.children) for sym, child in below.items()}
     out = []
     v = tree.leaves[j]
     while v != tree.root:
+        u, sym = up[v]
         if isinstance(tree, CompactSuffixTree):
             edge = tree.edge_symbols(v) + (() if tree.children[v] else (TERMINATOR,))
         else:
-            edge = (tree._edge_symbol[v],)
+            edge = (sym,)
         out[:0] = edge
-        v = tree.parent[v]
+        v = u
     return tuple(out)
 
 

@@ -148,7 +148,7 @@ OPTIONS = {
     "mu": "--sigma --format --out --max-j",
     "phi": "--sigma --format --out --max-k",
     "omega": "--sigma --workers --format --out --n",
-    "verify": "--seed --workers --out --budget",
+    "verify": "--seed --workers --out",
     "expect-growth": "--sigma --seed --samples --format --out --n --mode",
     "expect-size": "--sigma --seed --samples --workers --format --out --n-list --mode",
 }
@@ -179,6 +179,7 @@ def test_subcommand_takes_only_the_flags_it_reads(command):
         ["omega", "--n", "4", "--samples", "5"],
         ["verify", "--sigma", "3"],
         ["expect-growth", "--n", "4", "--workers", "1"],
+        ["verify", "--budget", "100"],
     ],
 )
 def test_flag_the_command_does_not_read_exits_2(args, capsys):

@@ -63,16 +63,26 @@ def test_leaves_have_terminator_edges_and_no_children():
         s = Str(symbols, Alphabet(2))
         tree = build_suffix_tree(s)
         assert len(tree.leaves) == 5
+        terminator_edges = {below[TERMINATOR] for below in tree.children if TERMINATOR in below}
+        assert terminator_edges == set(tree.leaves.values())
         for leaf in tree.leaves.values():
             assert not tree.children[leaf]
-            parent = tree.parent[leaf]
-            assert tree.children[parent][TERMINATOR] == leaf
 
 
 def test_new_internal_counts_sum_to_internal_nodes_minus_root():
     for text in ("aabccb", "abcdefabcdab", "aaaa", "ab"):
         tree = build_suffix_tree(from_text(text))
-        assert sum(tree.new_internal_per_suffix) == tree.internal_count - 1
+        # insertion j creates the ids after leaf j - 1 (the root for j = 1), ending with leaf j
+        n = len(text)
+        leaf_ids = [tree.root] + [tree.leaves[j] for j in range(1, n + 1)]
+        created = [b - a - 1 for a, b in zip(leaf_ids, leaf_ids[1:])]
+        # brute force: the prefixes of suffix j that no earlier suffix starts with
+        new_prefixes = [
+            sum(not any(text[i:].startswith(text[j : j + k]) for i in range(j)) for k in range(1, n - j + 1))
+            for j in range(n)
+        ]
+        assert created == new_prefixes
+        assert sum(created) == tree.internal_count - 1
 
 
 @given(st.data())
