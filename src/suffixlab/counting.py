@@ -5,7 +5,7 @@ the inequalities between them are exact at any size. Growth counts come
 by two independent routes: growth_histogram enumerates every string, and
 growth_counts sums over prefix autocorrelation classes without
 enumerating any. Both refuse sizes above a limit before doing any work:
-the enumeration, sigma^n strings above an explicit budget; the classes,
+the enumeration, sigma^n strings above DEFAULT_BUDGET; the classes,
 n above the fixed cap MAX_EXACT_N.
 
 numpy, which only the brute-force oracle uses, is imported there, so
@@ -22,7 +22,8 @@ from .strings import enumerate_strings
 # attribute, so it can be wrapped or replaced from outside.
 from .strings import growth_of_symbols as growth_of_digits
 
-#: Largest number of strings an enumeration is allowed to touch by default.
+#: Largest number of strings an enumeration is allowed to touch; the
+#: guards read it at call time.
 DEFAULT_BUDGET = 1 << 24
 
 #: Strings tested per numpy block by count_aperiodic_bruteforce.
@@ -86,7 +87,7 @@ def aperiodic_prime_power(p: int, t: int, sigma: int) -> int:
     return sigma ** (p**t) - sigma ** (p ** (t - 1))
 
 
-def count_aperiodic_bruteforce(j: int, sigma: int, budget: int = DEFAULT_BUDGET) -> int:
+def count_aperiodic_bruteforce(j: int, sigma: int) -> int:
     """Count aperiodic strings by enumerating all sigma^j of them.
 
     Independent of the recurrence: each string is tested directly against
@@ -104,8 +105,8 @@ def count_aperiodic_bruteforce(j: int, sigma: int, budget: int = DEFAULT_BUDGET)
     if sigma < 1:
         raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     required = sigma**j
-    if required > budget:
-        raise EnumerationBudgetError(required, budget)
+    if required > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(required, DEFAULT_BUDGET)
     periods = [
         (sigma**d, sum(sigma ** (d * t) for t in range(j // d))) for d in proper_divisors(j)
     ]
@@ -148,7 +149,7 @@ def growth_bound_prefix_sum(m: int, sigma: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def growth_histogram(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+def growth_histogram(n: int, sigma: int) -> dict[int, int]:
     """Exact counts {k: number of length-n strings with growth k} for k = 1..n,
     by enumerating all sigma^n strings."""
     if n < 1:
@@ -156,8 +157,8 @@ def growth_histogram(n: int, sigma: int, budget: int = DEFAULT_BUDGET) -> dict[i
     if sigma < 1:
         raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     total = sigma**n
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
+    if total > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(total, DEFAULT_BUDGET)
     hist = [0] * (n + 1)
     for symbols in enumerate_strings(n, sigma):
         hist[growth_of_digits(symbols)] += 1

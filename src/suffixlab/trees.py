@@ -38,24 +38,15 @@ if TYPE_CHECKING:
 
 
 class TreeBase:
-    """Arena of nodes shared by both trees, each edge recorded once.
-
-    children[v] maps an edge's first symbol to the child node id, so it
-    holds the whole shape: a node's parent is the node whose dict holds
-    it. leaves maps each suffix start position j (1-based) to its leaf
-    node.
-    """
+    """Shared by both trees: leaves maps each suffix start position j
+    (1-based) to its leaf node; each tree gives node_count and child_map(v),
+    v's children by edge symbol."""
 
     root = 0
 
     def __init__(self, source: Str):
         self.source = source
-        self.children: list[dict[int, int]] = [{}]
         self.leaves: dict[int, int] = {}
-
-    @property
-    def node_count(self) -> int:
-        return len(self.children)
 
     @property
     def leaf_count(self) -> int:
@@ -67,56 +58,69 @@ class TreeBase:
 
     def sorted_children(self, node: int) -> list[tuple[int, int]]:
         """(symbol, child) pairs, plain symbols ascending, terminator last."""
-        items = sorted(self.children[node].items())
+        items = sorted(self.child_map(node).items())
         if items and items[0][0] == TERMINATOR:  # TERMINATOR is 0, below every symbol
             items.append(items.pop(0))
         return items
 
 
 class SuffixTree(TreeBase):
-    """Simple suffix tree: one symbol per edge, kept only as the edge's key
-    in its parent's children; every leaf's incoming edge is the terminator.
+    """Simple suffix tree: one symbol per edge, the terminator into leaves.
 
-    It stores nothing but source, children and leaves. Insertion j numbers
-    the nodes it creates consecutively, ending with leaf j: so the
-    internal nodes insertion j created are the ids strictly between
-    leaves[j - 1] (the root for j = 1) and leaves[j], and a node with one
-    child is followed by that child.
+    Insertion j numbers the nodes it creates consecutively, ending with
+    leaf j, so every node but a leaf has the next id as a child. symbol[v]
+    is the symbol on the edge entering v (-1 at the root). branches[v] maps
+    the first symbol of each insertion's path that hangs below v to the
+    path's first node; the root's holds insertion 1, so the entries number
+    n. Any other node is in branches exactly when it has two or more
+    children.
     """
+
+    def __init__(self, source: Str):
+        super().__init__(source)
+        self.symbol: list[int] = [-1]
+        self.branches: dict[int, dict[int, int]] = {}
+
+    @property
+    def node_count(self) -> int:
+        return len(self.symbol)
+
+    def child_map(self, node: int) -> dict[int, int]:
+        if self.symbol[node] == TERMINATOR:
+            return {}
+        return {self.symbol[node + 1]: node + 1, **self.branches.get(node, {})}
 
 
 def build_suffix_tree(s: Str) -> SuffixTree:
     """Insert every suffix of s, suffix j = 1..n in turn.
 
-    Each insertion walks from the root along existing edges as far as the
-    suffix matches, then appends one new path carrying the remaining
-    symbols followed by the terminator, and numbers the new leaf with j.
-    Because the terminator never occurs in s, leaves never gain children.
+    Each insertion walks from the root as far as the suffix matches, to the
+    next id or through branches, then appends one new path carrying the
+    remaining symbols followed by the terminator, and numbers the new leaf
+    with j. Because the terminator never occurs in s, leaves never gain
+    children.
     """
     n = len(s)
     if n < 1:
         raise ValueError("cannot build a suffix tree for the empty string")
     syms = s.symbols
     tree = SuffixTree(s)
-    children = tree.children
+    symbol, branches = tree.symbol, tree.branches
     for j0 in range(n):
         v = 0
         p = j0
-        while p < n:
-            u = children[v].get(syms[p])
-            if u is None:
+        while 0 < p < n:  # insertion 1 (p = 0) meets an empty tree
+            if symbol[v + 1] == syms[p]:
+                v += 1
+            elif syms[p] in branches.get(v, ()):
+                v = branches[v][syms[p]]
+            else:
                 break
-            v = u
             p += 1
-        for sym in syms[p:]:
-            w = len(children)
-            children[v][sym] = w
-            children.append({})
-            v = w
-        leaf = len(children)
-        children[v][TERMINATOR] = leaf
-        children.append({})
-        tree.leaves[j0 + 1] = leaf
+        branches.setdefault(v, {})[syms[p] if p < n else TERMINATOR] = len(symbol)
+        symbol += syms[p:]
+        symbol.append(TERMINATOR)
+        tree.leaves[j0 + 1] = len(symbol) - 1
     return tree
 
 
@@ -131,13 +135,22 @@ class CompactSuffixTree(TreeBase):
     suffix_array lists the leaf numbers in left-to-right order (children
     in symbol order, terminator last), and interval[v] is the half-open
     range (lo, hi) of suffix_array that holds exactly the leaves below v.
+    children[v] maps an edge's first symbol to the child node id.
     """
 
     def __init__(self, source: Str):
         super().__init__(source)
+        self.children: list[dict[int, int]] = [{}]
         self.span: list[tuple[int, int] | None] = [None]
         self.suffix_array: list[int] = []
         self.interval: list[tuple[int, int]] = [(0, len(source))]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.children)
+
+    def child_map(self, node: int) -> dict[int, int]:
+        return self.children[node]
 
     def edge_symbols(self, child: int) -> tuple[int, ...]:
         """Plain symbols on the edge entering `child` (terminator excluded)."""
@@ -406,10 +419,10 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
     suffix array and intervals come from the collapsed tree's own shape.
     """
     naive = build_suffix_tree(s)
-    kids = naive.children
+    symbol, branches = naive.symbol, naive.branches
     # by SuffixTree's numbering, the smallest suffix number below a node is
-    # that of the insertion that created it, and a node with one child is
-    # followed by that child
+    # that of the insertion that created it, and a node that is neither a
+    # leaf nor in branches has one child, the next id
     rep = [1]
     for j, leaf in naive.leaves.items():
         rep += [j] * (leaf + 1 - len(rep))
@@ -422,9 +435,9 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
         nv, cv, depth = stack.pop()
         for sym, node in naive.sorted_children(nv):
             top = node
-            while len(kids[node]) == 1:
+            while symbol[node] != TERMINATOR and node not in branches:
                 node += 1
-            term = not kids[node]
+            term = symbol[node] == TERMINATOR
             # edges walked: node - top + 1; the last one is the terminator at a leaf
             count = node - top + 1 - term
             c = len(children)
@@ -474,18 +487,11 @@ def growth_via_lcp(s: Str) -> int:
 def growth_from_tree(tree: SuffixTree) -> int:
     """Growth read off a built simple tree.
 
-    Walk down the path of suffix 1 and return n minus the depth of the
-    deepest node on it with at least two children, the root counting as
-    depth 0. That gives growth 1 for one-symbol strings.
+    n minus the depth of the deepest node with two or more children on the
+    path of suffix 1, ids 1..n, each id its depth; the root counts as
+    depth 0, which gives growth 1 for one-symbol strings.
     """
-    children = tree.children
-    v = tree.root
-    deepest = 0
-    for depth, sym in enumerate(tree.source.symbols, start=1):
-        v = children[v][sym]
-        if len(children[v]) >= 2:
-            deepest = depth
-    return len(tree.source) - deepest
+    return len(tree.source) - max(v for v in tree.branches if v <= len(tree.source))
 
 
 def growth_via_tree(s: Str) -> int:

@@ -4,13 +4,13 @@ from suffixlab.trees import CompactSuffixTree
 
 def path_symbols(tree, j: int) -> tuple[int, ...]:
     """Symbols along the root-to-leaf-j path of either tree, terminator included."""
-    up = {child: (v, sym) for v, below in enumerate(tree.children) for sym, child in below.items()}
+    up = {child: (v, sym) for v in range(tree.node_count) for sym, child in tree.sorted_children(v)}
     out = []
     v = tree.leaves[j]
     while v != tree.root:
         u, sym = up[v]
         if isinstance(tree, CompactSuffixTree):
-            edge = tree.edge_symbols(v) + (() if tree.children[v] else (TERMINATOR,))
+            edge = tree.edge_symbols(v) + (() if tree.sorted_children(v) else (TERMINATOR,))
         else:
             edge = (sym,)
         out[:0] = edge

@@ -109,10 +109,11 @@ def test_bruteforce_agrees_with_per_string_definition():
 
 
 @pytest.mark.parametrize("sigma", [0, -1])
-def test_bruteforce_rejects_what_the_recurrence_rejects(sigma):
+def test_bruteforce_rejects_what_the_recurrence_rejects(sigma, monkeypatch):
     # a budget below every sigma^j shows the alphabet is checked first
+    monkeypatch.setattr(counting, "DEFAULT_BUDGET", -2)
     with pytest.raises(ValueError) as brute:
-        count_aperiodic_bruteforce(3, sigma, budget=-2)
+        count_aperiodic_bruteforce(3, sigma)
     with pytest.raises(ValueError) as recurrence:
         count_aperiodic(3, sigma)
     assert str(brute.value) == str(recurrence.value)
@@ -121,7 +122,7 @@ def test_bruteforce_rejects_what_the_recurrence_rejects(sigma):
 
 def test_bruteforce_budget():
     with pytest.raises(EnumerationBudgetError):
-        count_aperiodic_bruteforce(30, 2, budget=1 << 20)
+        count_aperiodic_bruteforce(30, 2)
 
 
 def test_growth_histogram_two_binary():

@@ -63,10 +63,40 @@ def test_leaves_have_terminator_edges_and_no_children():
         s = Str(symbols, Alphabet(2))
         tree = build_suffix_tree(s)
         assert len(tree.leaves) == 5
-        terminator_edges = {below[TERMINATOR] for below in tree.children if TERMINATOR in below}
+        terminator_edges = {
+            child
+            for v in range(tree.node_count)
+            for sym, child in tree.sorted_children(v)
+            if sym == TERMINATOR
+        }
         assert terminator_edges == set(tree.leaves.values())
         for leaf in tree.leaves.values():
-            assert not tree.children[leaf]
+            assert not tree.sorted_children(leaf)
+
+
+def assert_one_branch_entry_per_insertion(tree):
+    branches, symbol = tree.branches, tree.symbol
+    assert sum(map(len, branches.values())) == len(tree.source)
+    leaves = set(tree.leaves.values())
+    for v, below in branches.items():
+        # only the root or an internal node is branched from, and a non-root one branches
+        assert v not in leaves
+        assert v == tree.root or len(tree.sorted_children(v)) >= 2
+        assert all(symbol[u] == sym for sym, u in below.items())
+
+
+def test_branch_entries_number_n_and_sit_at_branching_nodes():
+    for n in range(1, 9):
+        for symbols in enumerate_strings(n, 2):
+            assert_one_branch_entry_per_insertion(build_suffix_tree(Str(symbols, Alphabet(2))))
+    rng = np.random.default_rng(3)
+    s = Str(tuple(rng.integers(1, 4, 500).tolist()), Alphabet(3))
+    assert_one_branch_entry_per_insertion(build_suffix_tree(s))
+    # O(n) dict entries under a quadratic node count
+    s = Str(tuple(rng.integers(1, 3, 2048).tolist()), Alphabet(2))
+    tree = build_suffix_tree(s)
+    assert tree.node_count > 2_000_000
+    assert sum(map(len, tree.branches.values())) <= 2048
 
 
 def test_new_internal_counts_sum_to_internal_nodes_minus_root():
