@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import experiments, trees
 from .strings import from_text
 
 #: Largest simple tree `tree` builds. The tree takes about 8 bytes a node
-#: (peak RSS growth of a σ=2, n=2048 build, CPython 3.11), so the DOT text
-#: is what this bounds: on a σ=2 text of 2,900 symbols and 4,179,272
-#: nodes, `tree --dot` peaks at about 1.3 GB RSS, and `tree` at 63 MB.
+#: (peak RSS growth of a σ=2, n=2048 build, CPython 3.11), and `tree --dot`
+#: writes its text as it makes it, so this bounds output size and time, not
+#: memory: on a σ=2 text of 2,900 symbols and 4,179,272 nodes, `tree --dot`
+#: writes 243 MB of DOT in 6-8 s and peaks at 65 MB RSS, and `tree` at 63 MB.
 #: simple_tree_size reads the size off the LCP array before any node is
 #: built, in O(n log² n) time.
 MAX_SIMPLE_TREE_NODES = 1 << 22
@@ -91,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(pieces: Iterable[str], out: Path | None) -> None:
+    """Write each piece of text as it comes, to stdout or to out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        out.write_text(text)
+        with out.open("w") as f:
+            f.writelines(pieces)
 
 
 def _emit_rows(args: argparse.Namespace, row_type, rows, **wrapper) -> None:
@@ -103,7 +107,7 @@ def _emit_rows(args: argparse.Namespace, row_type, rows, **wrapper) -> None:
         text = experiments.rows_to_csv(row_type, rows)
     else:
         text = experiments.rows_to_json(row_type, rows, **wrapper)
-    _emit(text, args.out)
+    _emit([text], args.out)
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -121,13 +125,13 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.dot:
         _emit(trees.to_dot(tree), args.out)
     else:
-        _emit(trees.stats_line(tree, trees.growth_via_lcp(s)) + "\n", args.out)
+        _emit([trees.stats_line(tree, trees.growth_via_lcp(s)) + "\n"], args.out)
     return 0
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
     s = from_text(args.text, args.sigma)
-    _emit(f"{trees.growth_via_lcp(s)}\n", args.out)
+    _emit([f"{trees.growth_via_lcp(s)}\n"], args.out)
     return 0
 
 
@@ -152,7 +156,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = experiments.run_verification(seed=args.seed)
     text = "\n".join(report.lines()) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     if args.out is not None:
         sys.stdout.write(text)
     return 0 if report.ok else 1
@@ -189,7 +193,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     s = from_text(args.text, sigma)
     pattern = from_text(args.pattern, sigma)
     positions = trees.find_occurrences(trees.build_compact_tree(s), pattern)
-    _emit(" ".join(str(p) for p in positions) + "\n", args.out)
+    _emit([" ".join(str(p) for p in positions) + "\n"], args.out)
     return 0
 
 

@@ -16,10 +16,10 @@ import math
 import statistics
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import counting, trees
-from .strings import Alphabet, Str, enumerate_strings, from_text
+from .strings import Alphabet, Str, enumerate_strings, from_text, growth_of_symbols
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,6 +40,20 @@ def random_string(n: int, sigma: int, rng: np.random.Generator) -> Str:
         raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     symbols = rng.integers(1, sigma + 1, size=n)
     return Str(tuple(symbols.tolist()), Alphabet(sigma))
+
+
+#: symbols per block _sample_blocks draws; larger blocks cost peak memory
+_BLOCK_CELLS = 1 << 13
+
+
+def _sample_blocks(n: int, sigma: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """`samples` uniform strings of n ≥ 0 symbols from 1..sigma, as the rows
+    of 2-D blocks of about _BLOCK_CELLS symbols. A (k, n) draw takes the
+    symbols k random_string calls of n symbols would take, and a (k, 0)
+    draw takes nothing."""
+    per_block = max(1, _BLOCK_CELLS // max(n, 1))
+    for done in range(0, samples, per_block):
+        yield rng.integers(1, sigma + 1, size=(min(per_block, samples - done), n))
 
 
 def _check_sigma(sigma: int) -> None:
@@ -246,21 +260,14 @@ def expected_growth(
             )
         ]
     rng = new_rng(seed)
-    alphabet = Alphabet(sigma)
-    uniform_vals = []
-    for _ in range(samples):
-        s = random_string(n, sigma, rng)
-        uniform_vals.append(trees.growth_via_lcp(s))
-    prefix_vals = []
-    for _ in range(samples):
-        if n == 1:
-            tail: tuple[int, ...] = ()
-        else:
-            tail = random_string(n - 1, sigma, rng).symbols
-        total = 0
-        for c in range(1, sigma + 1):
-            total += trees.growth_via_lcp(Str((c,) + tail, alphabet))
-        prefix_vals.append(total / sigma)
+    uniform_vals = [
+        growth_of_symbols(row) for block in _sample_blocks(n, sigma, samples, rng) for row in block.tolist()
+    ]
+    prefix_vals = [
+        sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1)) / sigma
+        for block in _sample_blocks(n - 1, sigma, samples, rng)
+        for tail in block.tolist()
+    ]
     rows = []
     for regime, vals in (("uniform", uniform_vals), ("prefix", prefix_vals)):
         mean, stderr = _mean_stderr(vals)
@@ -306,19 +313,14 @@ def exact_expected_size(n: int, sigma: int) -> Fraction:
     return _exact_expected_sizes(n, sigma)[n]
 
 
-#: symbols per kernel call in expected_size; larger blocks cost peak memory
-_BLOCK_CELLS = 1 << 13
-
-
 def expected_size(
     n_list: Sequence[int], sigma: int, *,
     mode: str = "montecarlo", samples: int = 1000, seed: int = 1,
 ) -> list[SizeRow]:
     """Mean simple-tree node count for each n in n_list, with mean/n^2.
 
-    Monte Carlo samples are drawn in blocks of about _BLOCK_CELLS symbols,
-    the symbols one random_string call per sample would draw, and each
-    block is counted by one trees.simple_tree_sizes call: no tree is built.
+    Monte Carlo samples come from _sample_blocks, and each block is
+    counted by one trees.simple_tree_sizes call: no tree is built.
     Exhaustive means come from one counting pass up to the largest n.
     """
     _check_sampling(sigma, mode, samples)
@@ -347,9 +349,7 @@ def expected_size(
     rng = new_rng(seed)
     for n in n_list:
         vals = []
-        per_block = max(1, _BLOCK_CELLS // n)
-        for done in range(0, samples, per_block):
-            block = rng.integers(1, sigma + 1, size=(min(per_block, samples - done), n))
+        for block in _sample_blocks(n, sigma, samples, rng):
             vals += trees.simple_tree_sizes(block).tolist()
         mean, stderr = _mean_stderr(vals)
         rows.append(
@@ -512,7 +512,7 @@ def _reference_trees() -> tuple[bool, str]:
     naive = trees.build_suffix_tree(s)
     compact = trees.build_compact_tree(s)
     expected_labels = sorted(["c", "b", "a", "b$", "cb$", "ccb$", "$", "bccb$", "abccb$"])
-    same = compact.layout() == trees.compact_tree_via_simple(s).layout()
+    same = compact == trees.compact_tree_via_simple(s)
     ok = (
         naive.node_count == 25
         and naive.internal_count == 19
@@ -547,7 +547,7 @@ def _tree_identities(*, sizes: tuple[tuple[int, int], ...] = ((2, 10), (3, 7))) 
                     bad.append(("identity", str(s)))
                     continue
                 compact = trees.build_compact_tree(s)
-                if compact.layout() != trees.compact_tree_via_simple(s).layout():
+                if compact != trees.compact_tree_via_simple(s):
                     bad.append(("compact-oracle", str(s)))
                 if compact.node_count > 2 * n:
                     bad.append(("compact-size", str(s)))
@@ -578,7 +578,7 @@ def _search_vs_scan(
             s = random_string(n, sigma, rng)
             tree = trees.build_compact_tree(s)
             built += 1
-            if tree.layout() != trees.compact_tree_via_simple(s).layout():
+            if tree != trees.compact_tree_via_simple(s):
                 bad.append((str(s), "compact-oracle"))
             for _ in range(patterns):
                 plen = int(rng.integers(1, min(n, pattern_max) + 1))

@@ -28,6 +28,8 @@ scanning) so each can check the other.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -39,14 +41,20 @@ if TYPE_CHECKING:
 
 class TreeBase:
     """Shared by both trees: leaves maps each suffix start position j
-    (1-based) to its leaf node; each tree gives node_count and child_map(v),
-    v's children by edge symbol."""
+    (1-based) to its leaf node. Each tree gives node_count,
+    sorted_children(v), v's (first edge symbol, child) pairs with plain
+    symbols ascending and the terminator last, and edge_label(child), the
+    text on the edge into child. Two trees are equal when they are of one
+    type and every stored field is."""
 
     root = 0
 
     def __init__(self, source: Str):
         self.source = source
         self.leaves: dict[int, int] = {}
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and vars(self) == vars(other)
 
     @property
     def leaf_count(self) -> int:
@@ -55,13 +63,6 @@ class TreeBase:
     @property
     def internal_count(self) -> int:
         return self.node_count - self.leaf_count
-
-    def sorted_children(self, node: int) -> list[tuple[int, int]]:
-        """(symbol, child) pairs, plain symbols ascending, terminator last."""
-        items = sorted(self.child_map(node).items())
-        if items and items[0][0] == TERMINATOR:  # TERMINATOR is 0, below every symbol
-            items.append(items.pop(0))
-        return items
 
 
 class SuffixTree(TreeBase):
@@ -85,10 +86,17 @@ class SuffixTree(TreeBase):
     def node_count(self) -> int:
         return len(self.symbol)
 
-    def child_map(self, node: int) -> dict[int, int]:
-        if self.symbol[node] == TERMINATOR:
-            return {}
-        return {self.symbol[node + 1]: node + 1, **self.branches.get(node, {})}
+    def sorted_children(self, node: int) -> list[tuple[int, int]]:
+        symbol = self.symbol
+        if node not in self.branches:  # a leaf, or one child: the next id
+            return [] if symbol[node] == TERMINATOR else [(symbol[node + 1], node + 1)]
+        items = sorted({symbol[node + 1]: node + 1, **self.branches[node]}.items())
+        if items[0][0] == TERMINATOR:  # TERMINATOR is 0, below every symbol
+            items.append(items.pop(0))
+        return items
+
+    def edge_label(self, child: int) -> str:
+        return symbol_char(self.symbol[child])
 
 
 def build_suffix_tree(s: Str) -> SuffixTree:
@@ -135,7 +143,8 @@ class CompactSuffixTree(TreeBase):
     suffix_array lists the leaf numbers in left-to-right order (children
     in symbol order, terminator last), and interval[v] is the half-open
     range (lo, hi) of suffix_array that holds exactly the leaves below v.
-    children[v] maps an edge's first symbol to the child node id.
+    children[v] maps an edge's first symbol to the child node id, in
+    symbol order with the terminator last: both builders insert them so.
     """
 
     def __init__(self, source: Str):
@@ -149,8 +158,8 @@ class CompactSuffixTree(TreeBase):
     def node_count(self) -> int:
         return len(self.children)
 
-    def child_map(self, node: int) -> dict[int, int]:
-        return self.children[node]
+    def sorted_children(self, node: int) -> list[tuple[int, int]]:
+        return list(self.children[node].items())
 
     def edge_symbols(self, child: int) -> tuple[int, ...]:
         """Plain symbols on the edge entering `child` (terminator excluded)."""
@@ -169,16 +178,6 @@ class CompactSuffixTree(TreeBase):
     def edge_labels(self) -> list[str]:
         """Labels of all edges, for inspection and tests."""
         return [self.edge_label(v) for v in range(1, self.node_count)]
-
-    def layout(self) -> tuple:
-        """Every field that defines the tree, so that two builds compare with ==."""
-        return (
-            self.children,
-            self.span,
-            self.leaves,
-            self.suffix_array,
-            self.interval,
-        )
 
 
 #: strings of at most this many symbols are sorted by whole suffixes in
@@ -547,15 +546,12 @@ def find_occurrences(tree: CompactSuffixTree, pattern: Str) -> list[int]:
         child = tree.children[node].get(psyms[pi])
         if child is None:
             return []
-        span = tree.span[child]
-        if span is not None:
-            lo, hi = span
-            k = lo
-            while k <= hi and pi < m:
-                if source[k - 1] != psyms[pi]:
-                    return []
-                k += 1
-                pi += 1
+        k, end = tree.span[child]  # a plain symbol starts the edge, so it has a span
+        while k <= end and pi < m:
+            if source[k - 1] != psyms[pi]:
+                return []
+            k += 1
+            pi += 1
         node = child
     lo, hi = tree.interval[node]
     return sorted(tree.suffix_array[lo:hi])
@@ -579,20 +575,24 @@ def scan_occurrences(s: Str, pattern: Str) -> list[int]:
     return out
 
 
-def to_dot(tree: SuffixTree | CompactSuffixTree) -> str:
+def to_dot(tree: SuffixTree | CompactSuffixTree) -> Iterator[str]:
     """Deterministic DOT rendering; children in symbol order, leaves
-    labelled with their suffix numbers."""
-    lines = ["digraph suffixtree {", "  node [shape=circle];"]
+    labelled with their suffix numbers. Yields the text as it makes it, in
+    pieces of 4,096 whole lines, so no caller need hold all of it."""
     suffix_of_leaf = {leaf: j for j, leaf in tree.leaves.items()}
-    compact = isinstance(tree, CompactSuffixTree)
-    for v in range(tree.node_count):
-        lines.append(f'  n{v} [label="{suffix_of_leaf.get(v, "")}"];')
-    for v in range(tree.node_count):
-        for sym, child in tree.sorted_children(v):
-            label = tree.edge_label(child) if compact else symbol_char(sym)
-            lines.append(f'  n{v} -> n{child} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = range(tree.node_count)
+    lines = chain(
+        ("digraph suffixtree {", "  node [shape=circle];"),
+        (f'  n{v} [label="{suffix_of_leaf.get(v, "")}"];' for v in nodes),
+        (
+            f'  n{v} -> n{child} [label="{tree.edge_label(child)}"];'
+            for v in nodes
+            for _, child in tree.sorted_children(v)
+        ),
+        ("}",),
+    )
+    while piece := list(islice(lines, 4096)):
+        yield "\n".join(piece) + "\n"
 
 
 def stats_line(tree: SuffixTree | CompactSuffixTree, growth: int) -> str:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,23 @@ def test_tree_output_matches_golden_bytes(args, golden, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_tree_dot_streams_its_text(tmp_path):
+    # a 17.3 MB DOT file: holding the whole text would trace far more than
+    # half of it; the size check first imports numpy, outside the trace
+    text = "".join(random.Random(5).choices("ab", k=800))
+    assert trees.simple_tree_size(from_text(text)) == 314_415
+    path = tmp_path / "t.dot"
+    tracemalloc.start()
+    try:
+        assert cli.main(["tree", text, "--dot", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 2, (peak, size)
+    assert path.read_text() == "".join(trees.to_dot(trees.build_suffix_tree(from_text(text))))
 
 
 SEARCH_TEXT = (

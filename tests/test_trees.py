@@ -239,7 +239,7 @@ def test_both_sides_of_the_window_threshold(n):
         ):
             s = Str(tuple(symbols), alphabet)
             assert simple_tree_size(s) == size_by_automaton(s) == build_suffix_tree(s).node_count
-            assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout(), str(s)
+            assert build_compact_tree(s) == compact_tree_via_simple(s), str(s)
 
 
 @pytest.mark.parametrize("n", range(17, 41))
@@ -248,7 +248,7 @@ def test_kernel_with_more_symbols_than_positions(n):
     # the largest rank makes keys collide, and the doubling never ends
     s = make_string(np.random.Generator(np.random.PCG64(n)).integers(1, 27, size=n).tolist(), Alphabet(26))
     assert simple_tree_size(s) == size_by_automaton(s) == build_suffix_tree(s).node_count
-    assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout()
+    assert build_compact_tree(s) == compact_tree_via_simple(s)
 
 
 @pytest.mark.parametrize("sigma,n_max", [(1, 16), (2, 12), (3, 8)])
@@ -302,7 +302,7 @@ def test_kernel_at_the_pack_boundaries(sigma, q):
             assert size == size_by_automaton(s)
             oracle = compact_tree_via_simple(s)
             assert [j - 1 for j in oracle.suffix_array] == row_sa
-            assert build_compact_tree(s).layout() == oracle.layout()
+            assert build_compact_tree(s) == oracle
 
 
 def test_kernel_with_symbols_too_wide_to_pack():
@@ -473,6 +473,13 @@ def test_compact_reference_string_labels():
     assert_leaf_paths(tree)
 
 
+def assert_children_in_symbol_order(tree):
+    # sorted_children lists children[v] as stored, so the builders must
+    # store plain symbols ascending and the terminator last
+    for below in tree.children:
+        assert list(below) == sorted(below, key=lambda sym: (sym == TERMINATOR, sym))
+
+
 def test_compact_invariants_exhaustive_binary():
     for n in range(1, 9):
         for symbols in enumerate_strings(n, 2):
@@ -483,6 +490,8 @@ def test_compact_invariants_exhaustive_binary():
                 if tree.children[v]:
                     assert len(tree.children[v]) >= 2
             assert_leaf_paths(tree)
+            for built in (tree, compact_tree_via_simple(s)):
+                assert_children_in_symbol_order(built)
 
 
 def assert_intervals_hold_subtree_leaves(tree):
@@ -506,7 +515,7 @@ def test_direct_compact_tree_equals_collapsed_simple_tree_exhaustively(sigma, n_
     for n in range(1, n_max + 1):
         for symbols in enumerate_strings(n, sigma):
             s = Str(symbols, Alphabet(sigma))
-            assert build_compact_tree(s).layout() == compact_tree_via_simple(s).layout(), str(s)
+            assert build_compact_tree(s) == compact_tree_via_simple(s), str(s)
 
 
 @given(st.data())
@@ -515,8 +524,11 @@ def test_direct_compact_tree_equals_collapsed_simple_tree_random(data):
     sigma = data.draw(st.integers(1, 5))
     s = random_str(data.draw, sigma, 400)
     tree = build_compact_tree(s)
-    assert tree.layout() == compact_tree_via_simple(s).layout()
+    oracle = compact_tree_via_simple(s)
+    assert tree == oracle
     assert_intervals_hold_subtree_leaves(tree)
+    for built in (tree, oracle):
+        assert_children_in_symbol_order(built)
 
 
 def test_intervals_hold_exactly_the_subtree_leaves():
@@ -612,21 +624,21 @@ def test_search_matches_scan(data):
 
 
 def test_dot_single_symbol():
-    dot = to_dot(build_suffix_tree(from_text("a")))
+    dot = "".join(to_dot(build_suffix_tree(from_text("a"))))
     assert dot.count("->") == 2
     assert dot.count("[label=") == 5  # 3 nodes + 2 edges
     assert '[label="$"]' in dot
 
 
 def test_dot_is_deterministic():
-    first = to_dot(build_compact_tree(from_text("aabccb")))
-    second = to_dot(build_compact_tree(from_text("aabccb")))
+    first = "".join(to_dot(build_compact_tree(from_text("aabccb"))))
+    second = "".join(to_dot(build_compact_tree(from_text("aabccb"))))
     assert first == second
     assert 'label="abccb$"' in first
 
 
 def test_dot_labels_leaves_with_suffix_numbers():
-    dot = to_dot(build_suffix_tree(from_text("ab")))
+    dot = "".join(to_dot(build_suffix_tree(from_text("ab"))))
     assert 'label="1"' in dot
     assert 'label="2"' in dot
 
