@@ -245,6 +245,8 @@ def expected_growth(
     prepend-a-random-symbol construction and has lower variance.
     """
     _check_sampling(sigma, mode, samples)
+    if n < 1:
+        raise ValueError(f"length must be at least 1, got {n}")
     if mode == "exhaustive":
         exact = exact_expected_growth(n, sigma)
         return [

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import chain, islice
-from operator import add
 from typing import TYPE_CHECKING
 
 from .strings import TERMINATOR, Str, growth_of_symbols, symbol_char
@@ -136,9 +135,10 @@ class CompactSuffixTree(TreeBase):
     """Compact suffix tree with span-labelled edges.
 
     span[v] is the 1-based inclusive (i, j) range of source symbols on the
-    edge entering v, or None when that edge carries no plain symbols; an
-    edge ends with the terminator exactly when it enters a leaf. Every
-    internal node except the root has at least two children.
+    edge entering v; it is empty, (i, i - 1), when the edge carries only
+    the terminator, and the root's is (1, 0). An edge ends with the
+    terminator exactly when it enters a leaf. Every internal node except
+    the root has at least two children.
 
     suffix_array lists the leaf numbers in left-to-right order (children
     in symbol order, terminator last), and interval[v] is the half-open
@@ -150,7 +150,7 @@ class CompactSuffixTree(TreeBase):
     def __init__(self, source: Str):
         super().__init__(source)
         self.children: list[dict[int, int]] = [{}]
-        self.span: list[tuple[int, int] | None] = [None]
+        self.span: list[tuple[int, int]] = [(1, 0)]
         self.suffix_array: list[int] = []
         self.interval: list[tuple[int, int]] = [(0, len(source))]
 
@@ -163,10 +163,7 @@ class CompactSuffixTree(TreeBase):
 
     def edge_symbols(self, child: int) -> tuple[int, ...]:
         """Plain symbols on the edge entering `child` (terminator excluded)."""
-        span = self.span[child]
-        if span is None:
-            return ()
-        i, j = span
+        i, j = self.span[child]
         return self.source.symbols[i - 1 : j]
 
     def edge_label(self, child: int) -> str:
@@ -338,17 +335,18 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
 
     One stack pass over the suffix array places the leaves and creates an
     internal node at every LCP depth where suffixes branch, giving each
-    node its string depth, its leaf interval and the smallest suffix start
-    below it; internal nodes close in left-to-right postorder. The nodes
-    are then numbered as compact_tree_via_simple numbers them: internal
-    nodes in reverse closing order each hand consecutive ids to all their
-    children, in symbol order. An edge span starts at the smallest suffix
-    start below it plus the parent's depth. Never builds the simple tree.
-    suffix_arrays costs O(n log n) time and one rank table of n entries
-    per doubling round, one round for each doubling of the longest repeat
-    beyond q symbols; its LCPs cost O(n) elementwise work, plus one gather
-    per round for each adjacent pair that shares q symbols. The stack pass
-    and the node lists are linear but run in pure Python.
+    node its string depth, its leaf interval, its children in symbol order
+    and the smallest suffix start below it. The tree is then laid out from
+    the root in compact_tree_via_simple's own order: each node taken off a
+    stack, last pushed first, hands consecutive ids to all its children in
+    symbol order and pushes the internal ones. An edge span starts at the
+    smallest suffix start below it plus the parent's depth. Never builds
+    the simple tree. suffix_arrays costs O(n log n) time and one rank table
+    of n entries per doubling round, one round for each doubling of the
+    longest repeat beyond q symbols; its LCPs cost O(n) elementwise work,
+    plus one gather per round for each adjacent pair that shares q
+    symbols. The stack pass and the layout are linear but run in pure
+    Python.
     """
     n = len(s)
     if n < 1:
@@ -361,19 +359,16 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     # the root, later ids are internal nodes
     depth = [*map(n.__sub__, sa), 0]
     lo = list(range(n)) + [0]
-    hi = list(range(1, n + 1)) + [n]
+    hi = [n] * (n + 1)  # set as each node closes; the root never does
     first = sa + [n]  # smallest 0-based suffix start below the node
     kids: list[list[int]] = [[]]  # children of node n + i, in symbol order
-    closed = []
     stack = [n]
     for r, h in enumerate(lcp):
         # a leaf is always deeper than its LCP with either neighbour
         while depth[stack[-1]] > h:
             last = stack.pop()
             top = stack[-1]
-            if last > n:
-                hi[last] = r
-                closed.append(last)
+            hi[last] = r
             if depth[top] < h:
                 stack.append(len(depth))
                 depth.append(h)
@@ -386,28 +381,26 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
                 if first[last] < first[top]:
                     first[top] = first[last]
         stack.append(r)
-    closed.append(n)
-
-    order = [n]  # scaffold ids by compact id
-    ups = []  # scaffold id of the parent of order[1:]
-    for t in reversed(closed):
-        below = kids[t - n]
-        order += below
-        ups += [t] * len(below)
-    cid = sorted(range(len(order)), key=order.__getitem__)  # compact id by scaffold id
-    edges = order[1:]
-    starts = list(map(add, map(first.__getitem__, edges), map(depth.__getitem__, ups)))
-    ends = list(map(add, map(first.__getitem__, edges), map(depth.__getitem__, edges)))
 
     tree = CompactSuffixTree(s)
-    tree.span += [(i + 1, j) if i < j else None for i, j in zip(starts, ends)]
-    tree.interval = list(zip(map(lo.__getitem__, order), map(hi.__getitem__, order)))
-    children = tree.children = [{} for _ in order]
+    span, interval, children, leaves = tree.span, tree.interval, tree.children, tree.leaves
     head = syms + (TERMINATOR,)  # first symbol of an edge
-    for v, u, i in zip(range(1, len(order)), map(cid.__getitem__, ups), starts):
-        children[u][head[i]] = v
-    tree.suffix_array = list(map((1).__add__, sa))
-    tree.leaves = dict(zip(tree.suffix_array, cid[:n]))
+    stack = [(n, tree.root)]  # (scaffold node, compact id)
+    while stack:
+        t, u = stack.pop()
+        below = children[u]
+        for c in kids[t - n]:
+            v = len(children)
+            i = first[c] + depth[t]
+            below[head[i]] = v
+            span.append((i + 1, first[c] + depth[c]))
+            interval.append((lo[c], hi[c]))
+            children.append({})
+            if c < n:
+                leaves[sa[c] + 1] = v
+            else:
+                stack.append((c, v))
+    tree.suffix_array = [j + 1 for j in sa]
     return tree
 
 
@@ -443,7 +436,7 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
             children.append({})
             parent.append(cv)
             start = rep[node] + depth
-            span.append((start, start + count - 1) if count else None)
+            span.append((start, start + count - 1))
             children[cv][sym] = c
             if term:
                 leaves[rep[node]] = c
@@ -546,7 +539,7 @@ def find_occurrences(tree: CompactSuffixTree, pattern: Str) -> list[int]:
         child = tree.children[node].get(psyms[pi])
         if child is None:
             return []
-        k, end = tree.span[child]  # a plain symbol starts the edge, so it has a span
+        k, end = tree.span[child]
         while k <= end and pi < m:
             if source[k - 1] != psyms[pi]:
                 return []

@@ -197,6 +197,7 @@ def test_flag_the_command_does_not_read_exits_2(args, capsys):
         (["expect-size", "--n-list", "4", "--samples", "0"], "montecarlo mode needs at least one sample"),
         (["expect-size", "--mode", "exhaustive", "--n-list", "0"], "length must be at least 1, got 0"),
         (["expect-size", "--mode", "exhaustive", "--n-list=-1"], "length must be at least 1, got -1"),
+        (["expect-growth", "--n", "0"], "length must be at least 1, got 0"),
     ],
 )
 def test_refused_value_exits_2(args, message, capsys):
@@ -317,6 +318,7 @@ def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):
         (["tree", "aabccb", "--dot"], "tree_aabccb.dot"),
         (["tree", "aabccb", "--compact"], "tree_aabccb_compact.txt"),
         (["tree", "abcdefabcdab", "--compact"], "tree_abcdefabcdab_compact.txt"),
+        (["tree", "abcabcabcabcabcabcabcab", "--compact", "--dot"], "tree_abcabcabcabcabcabcabcab_compact.dot"),
     ],
 )
 def test_tree_output_matches_golden_bytes(args, golden, capsys):

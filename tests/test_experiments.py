@@ -58,6 +58,7 @@ def test_functions_refuse_the_values_they_read():
         (lambda: expected_growth(4, 2, samples=0), "montecarlo mode needs at least one sample"),
         (lambda: expected_size((4,), 2, samples=0), "montecarlo mode needs at least one sample"),
         (lambda: exact_expected_size(0, 2), "length must be at least 1, got 0"),
+        (lambda: expected_growth(0, 2), "length must be at least 1, got 0"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):

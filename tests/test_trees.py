@@ -571,11 +571,9 @@ def test_compact_tree_of_a_long_text():
 
 def test_compact_spans_never_copy_text():
     tree = build_compact_tree(from_text("abcdefabcdab"))
-    for v in range(1, tree.node_count):
-        span = tree.span[v]
-        if span is not None:
-            i, j = span
-            assert 1 <= i <= j <= len(tree.source)
+    for v in range(tree.node_count):
+        i, j = tree.span[v]  # empty, (i, i - 1), on the root and terminator-only edges
+        assert 1 <= i <= j + 1 <= len(tree.source) + 1
 
 
 # ---------------------------------------------------------------------------
