@@ -1,85 +1,1 @@
 """Suffix trees, the growth statistic, and exact string-counting experiments."""
-
-from .counting import (
-    DEFAULT_BUDGET,
-    EnumerationBudgetError,
-    aperiodic_prime_power,
-    count_aperiodic,
-    count_aperiodic_bruteforce,
-    growth_bound,
-    growth_bound_prefix_sum,
-    growth_counts,
-    growth_histogram,
-)
-from .experiments import (
-    CountRow,
-    expected_growth,
-    expected_size,
-    growth_count_table,
-    new_rng,
-    random_string,
-    run_verification,
-)
-from .strings import (
-    TERMINATOR,
-    Alphabet,
-    Str,
-    from_text,
-    make_string,
-    substring,
-    to_text,
-)
-from .trees import (
-    CompactSuffixTree,
-    SuffixTree,
-    build_compact_tree,
-    build_suffix_tree,
-    compact_tree_via_simple,
-    find_occurrences,
-    growth_sum_identity,
-    growth_via_lcp,
-    growth_via_tree,
-    scan_occurrences,
-    simple_tree_size,
-    stats_line,
-    to_dot,
-)
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "TERMINATOR",
-    "Alphabet",
-    "CompactSuffixTree",
-    "CountRow",
-    "EnumerationBudgetError",
-    "Str",
-    "SuffixTree",
-    "aperiodic_prime_power",
-    "build_compact_tree",
-    "build_suffix_tree",
-    "compact_tree_via_simple",
-    "count_aperiodic",
-    "count_aperiodic_bruteforce",
-    "expected_growth",
-    "expected_size",
-    "find_occurrences",
-    "from_text",
-    "growth_bound",
-    "growth_bound_prefix_sum",
-    "growth_count_table",
-    "growth_counts",
-    "growth_histogram",
-    "growth_sum_identity",
-    "growth_via_lcp",
-    "growth_via_tree",
-    "make_string",
-    "new_rng",
-    "random_string",
-    "run_verification",
-    "scan_occurrences",
-    "simple_tree_size",
-    "stats_line",
-    "substring",
-    "to_dot",
-    "to_text",
-]

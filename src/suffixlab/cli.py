@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
-errors and sizes above a limit.
+errors, sizes above a limit, and an --out path that cannot be opened or
+written.
 """
 
 from __future__ import annotations
@@ -154,12 +155,17 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = experiments.run_verification(seed=args.seed)
-    text = "\n".join(report.lines()) + "\n"
-    _emit([text], args.out)
+    results = experiments.run_verification(seed=args.seed)
+    ok = all(passed for passed, _ in results.values())
+    lines = [
+        f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n"
+        for name, (passed, detail) in results.items()
+    ]
+    lines.append(f"verification {'PASSED' if ok else 'FAILED'}\n")
+    _emit(lines, args.out)
     if args.out is not None:
-        sys.stdout.write(text)
-    return 0 if report.ok else 1
+        sys.stdout.writelines(lines)
+    return 0 if ok else 1
 
 
 def cmd_expect_growth(args: argparse.Namespace) -> int:
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be at least 1")
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from suffixlab import cli
 from suffixlab.experiments import (
     CHECKS,
-    CheckResult,
     ExpectationRow,
     exact_expected_growth,
     expected_growth,
@@ -48,12 +47,12 @@ def _report(num, detail):
 def _gate(num):
     name, sizes, bound = GATE[num]
     t0 = time.perf_counter()
-    result = CheckResult(name, *CHECKS[name](**sizes))
+    ok, detail = CHECKS[name](**sizes)
     elapsed = time.perf_counter() - t0
-    assert result.ok, result.line()
+    assert ok, f"{name}: {detail}"
     assert bound is None or elapsed < bound, (name, elapsed)
-    _report(num, f"{name}: {result.detail} ({elapsed:.1f}s)")
-    return result
+    _report(num, f"{name}: {detail} ({elapsed:.1f}s)")
+    return detail
 
 
 def test_criterion_01_aperiodic_golden_table():
@@ -139,7 +138,7 @@ def test_criterion_12_determinism_and_worker_invariance():
 
 
 def test_criterion_13_search_equals_scan():
-    assert "on 10000 pairs" in _gate(13).detail
+    assert "on 10000 pairs" in _gate(13)
 
 
 # ---------------------------------------------------------------------------

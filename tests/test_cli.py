@@ -198,10 +198,21 @@ def test_flag_the_command_does_not_read_exits_2(args, capsys):
         (["expect-size", "--mode", "exhaustive", "--n-list", "0"], "length must be at least 1, got 0"),
         (["expect-size", "--mode", "exhaustive", "--n-list=-1"], "length must be at least 1, got -1"),
         (["expect-growth", "--n", "0"], "length must be at least 1, got 0"),
+        (["expect-size", "--n-list", "4", "--seed", "-1"], "seed must be at least 0, got -1"),
     ],
 )
 def test_refused_value_exits_2(args, message, capsys):
     assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [["mu", "--max-j", "2"], ["tree", "aabccb", "--dot"]])
+def test_out_that_cannot_be_opened_exits_2(args, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(args + ["--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("args", [["omega", "--n", "4"], ["expect-size", "--n-list", "4"], ["verify"]])

@@ -59,6 +59,7 @@ def test_functions_refuse_the_values_they_read():
         (lambda: expected_size((4,), 2, samples=0), "montecarlo mode needs at least one sample"),
         (lambda: exact_expected_size(0, 2), "length must be at least 1, got 0"),
         (lambda: expected_growth(0, 2), "length must be at least 1, got 0"),
+        (lambda: expected_growth(4, 2, seed=-1), "seed must be at least 0, got -1"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -252,9 +253,8 @@ def test_verification_detects_a_tampered_bound(monkeypatch):
     real = counting.growth_bound
     monkeypatch.setattr(counting, "growth_bound", lambda k, sigma: real(k, sigma) - 1)
     report = run_verification()
-    assert [c.name for c in report.checks] == list(CHECKS)
-    assert not report.ok
-    failed = {c.name for c in report.checks if not c.ok}
+    assert list(report) == list(CHECKS)
+    failed = {name for name, (ok, _) in report.items() if not ok}
     assert "growth-count-bound" in failed
 
 
@@ -269,9 +269,9 @@ def test_verification_detects_a_wrong_counting_route(monkeypatch):
 
     monkeypatch.setattr(counting, "growth_counts", shifted)
     report = run_verification()
-    failed = [c for c in report.checks if not c.ok]
-    assert [c.name for c in failed] == ["growth-count-bound"]
-    assert "(2, 'route', 2)" in failed[0].detail
+    failed = {name: detail for name, (ok, detail) in report.items() if not ok}
+    assert list(failed) == ["growth-count-bound"]
+    assert "(2, 'route', 2)" in failed["growth-count-bound"]
 
 
 def test_verification_detects_a_wrong_compact_tree(monkeypatch):
@@ -285,5 +285,5 @@ def test_verification_detects_a_wrong_compact_tree(monkeypatch):
 
     monkeypatch.setattr(trees, "build_compact_tree", shifted)
     report = run_verification()
-    failed = [c.name for c in report.checks if not c.ok]
+    failed = [name for name, (ok, _) in report.items() if not ok]
     assert failed == ["reference-trees", "tree-identities", "search-vs-scan"]
