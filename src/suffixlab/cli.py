@@ -2,12 +2,16 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
 errors, sizes above a limit, and an --out path that cannot be opened or
-written.
+written, and 141 (128 + SIGPIPE, what a shell reports for a writer killed
+by SIGPIPE) when the reader of the output goes away before it is all
+written, as in `suffixlab tree ... --dot | head -1`. A bad --seed or --out
+is refused before the command's work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -92,6 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern", help="pattern to look up, over a..z")
 
     return parser
+
+
+def _check_out(out: Path) -> None:
+    """Raise the OSError that writing to out would raise, leaving an
+    existing file as it was and no new one behind."""
+    existed = out.exists()
+    out.open("a").close()
+    if not existed:
+        out.unlink()
 
 
 def _emit(pieces: Iterable[str], out: Path | None) -> None:
@@ -209,7 +222,16 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be at least 0, got {args.seed}")
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader is gone; the flush at shutdown goes to devnull, so
+        # it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ Everything here is integer arithmetic on Python ints, so the counts and
 the inequalities between them are exact at any size. Growth counts come
 by two independent routes: growth_histogram enumerates every string, and
 growth_counts sums over prefix autocorrelation classes without
-enumerating any. Both refuse sizes above a limit before doing any work:
+enumerating any. The classes of a prefix length from 2n/3 up follow
+from the smallest period alone (Fine and Wilf), so only the shorter
+lengths build their period sets. Both routes refuse sizes above a limit
+before doing any work:
 the enumeration, sigma^n strings above DEFAULT_BUDGET; the classes,
 n above the fixed cap MAX_EXACT_N.
 
@@ -169,11 +172,13 @@ def growth_histogram(n: int, sigma: int) -> dict[int, int]:
 # Growth counts by autocorrelation classes
 # ---------------------------------------------------------------------------
 
-#: Largest n the counting route answers. At n = 64 one pass takes about
-#: 0.4 s and 25 MB peak RSS for any sigma (2-CPU Xeon, Python 3.11). The
-#: cost follows the number of period sets, 5,651 at length 64, which grows
-#: faster than any power of n (OEIS A005434).
-MAX_EXACT_N = 64
+#: Largest n the counting route answers. At n = 128 and sigma = 2 one pass
+#: (`expect-size --mode exhaustive --n-list 64,128` as a fresh process)
+#: takes 3-4.5 s and 56 MB peak RSS on a 2-CPU Xeon with Python 3.11; at
+#: n = 64, about 0.1 s. The cost follows the number of period sets up to
+#: length 2n/3, which grows faster than any power of n (OEIS A005434), and
+#: the series of the 97,401 classes they merge into at n = 128.
+MAX_EXACT_N = 128
 
 
 def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
@@ -254,11 +259,28 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
     strings that start with a word w and contain it only there as
     [z^r] 1 / (z^length [length <= r] + (1 - sigma z) c_w(z)), where
     c_w(z) = 1 + sum of z^p over the periods p of w. For each length the
-    words are taken by period set, from period_set_populations, merged by
-    their periods up to min(n_max - length, length - 1), since no larger
-    one reaches a coefficient up to z^(n_max - length). Each merged class
-    is expanded once, and its coefficient r counts toward n = length + r.
-    n_max above MAX_EXACT_N is refused before any work.
+    words are merged into classes by their periods up to
+    R = min(n_max - length, length - 1), since no larger one reaches a
+    coefficient up to z^(n_max - length). Each class is expanded once,
+    and its coefficient r counts toward n = length + r.
+
+    The classes come by one of two routes. If 2R <= length, any two
+    periods p, q <= R add to at most length, so by Fine and Wilf
+    gcd(p, q) is a period too; the periods up to R are then the
+    multiples of the smallest one, p0, and the words whose smallest
+    period is p0 are fixed by their first p0 symbols, which must form an
+    aperiodic word (a smaller period would divide p0, again by Fine and
+    Wilf). So the class "multiples of p0 up to R" holds
+    count_aperiodic(p0, sigma) words, and the class with no period up to
+    R the rest of sigma^length. Only the lengths with 2R > length, all
+    below 2 n_max / 3, take their classes from period_set_populations.
+
+    The coefficients f[0..m] of a class depend only on its periods up to
+    m. The classes are expanded in the order of their period lists, so
+    each shares f below its first period that differs from the previous
+    class's, and only the rest is recomputed; a coefficient is added to
+    the total once for each run of classes that share it, times the
+    run's words. n_max above MAX_EXACT_N is refused before any work.
     """
     if n_max < 1:
         raise ValueError(f"length must be at least 1, got {n_max}")
@@ -266,36 +288,55 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
         raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     if n_max > MAX_EXACT_N:
         raise ValueError(f"exact counts reach n = {MAX_EXACT_N}, got n = {n_max}")
-    pops = period_set_populations(n_max - 1, sigma)
+    pops = period_set_populations((2 * n_max - 1) // 3, sigma)
     # unique[n][length] = N(length) for strings of length n
     unique = [[0] * n + [sigma**n] for n in range(n_max + 1)]
     for length in range(1, n_max):
         r_top = n_max - length
-        keep = (1 << min(r_top, length - 1)) - 1
+        r_max = min(r_top, length - 1)
         merged: dict[int, int] = {}
-        for t, c in pops[length].items():
-            merged[t & keep] = merged.get(t & keep, 0) + c
-        rs = range(1, r_top + 1)
+        if 2 * r_max > length:
+            keep = (1 << r_max) - 1
+            for t, c in pops[length].items():
+                merged[t & keep] = merged.get(t & keep, 0) + c
+        else:
+            for p0 in range(1, r_max + 1):
+                merged[sum(1 << (p - 1) for p in range(p0, r_max + 1, p0))] = count_aperiodic(p0, sigma)
+            merged[0] = sigma**length - sum(merged.values())
+        # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
+        # satisfies c(z) g = 1 - z^length f, so each step costs one term per
+        # period. f[m] joins acc[m], times the words of the run of classes
+        # that share it, when a class changes it or after the last class;
+        # since[m] is the number of words expanded before that run.
+        f = [1] + [0] * r_top
+        g = [1] + [0] * r_top
+        since = [0] * (r_top + 1)
         acc = [0] * (r_top + 1)
-        for t, c in merged.items():
-            periods = [p for p in rs if t >> (p - 1) & 1]
-            # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
-            # satisfies c(z) g = 1 - z^length f, so each step costs one
-            # term per period
-            f = [1]
-            g = [1]
-            for m in rs:
+        words = 0
+        previous = None
+        # sorting by the reversed bit string orders the classes by period list
+        for t in sorted(merged, key=lambda t: format(t, f"0{r_max}b")[::-1]):
+            changed = 1 if previous is None else t ^ previous
+            first = (changed & -changed).bit_length()
+            periods = []
+            rest = t
+            while rest:
+                periods.append((rest & -rest).bit_length())
+                rest &= rest - 1
+            for m in range(first, r_top + 1):
+                acc[m] += (words - since[m]) * f[m]
+                since[m] = words
                 x = -f[m - length] if m >= length else 0
                 for p in periods:
                     if p > m:
                         break
                     x -= g[m - p]
-                g.append(x)
-                f.append(x + sigma * f[m - 1])
-            for r in rs:
-                acc[r] += c * f[r]
-        for r in rs:
-            unique[length + r][length] = acc[r]
+                g[m] = x
+                f[m] = x + sigma * f[m - 1]
+            words += merged[t]
+            previous = t
+        for r in range(1, r_top + 1):
+            unique[length + r][length] = acc[r] + (words - since[r]) * f[r]
     return [{}] + [
         {k: unique[n][n - k + 1] - unique[n][n - k] for k in range(1, n + 1)}
         for n in range(1, n_max + 1)
@@ -307,7 +348,7 @@ def growth_counts(n: int, sigma: int) -> dict[int, int]:
     equal to growth_histogram(n, sigma) but found without enumerating strings.
 
     The work depends on n, not on sigma^n: it follows the number of period
-    sets of lengths below n, about 5,600 at length 63. n above
+    sets of lengths below 2n/3 and the classes they merge into. n above
     MAX_EXACT_N is refused before any work.
     """
     return growth_counts_up_to(n, sigma)[n]

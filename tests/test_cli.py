@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import suffixlab
-from suffixlab import cli, counting, trees
+from suffixlab import cli, counting, experiments, trees
 from suffixlab.strings import from_text
 
 
@@ -94,6 +94,12 @@ def test_simple_tree_over_the_cap_exits_2_before_building(monkeypatch, capsys):
     assert f"needs {nodes} nodes, cap is {cli.MAX_SIMPLE_TREE_NODES}" in err
 
 
+def env_with_src() -> dict[str, str]:
+    """The environment, with the imported suffixlab's source first on PYTHONPATH."""
+    src = str(Path(suffixlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from suffixlab import cli
@@ -126,11 +132,9 @@ def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
         # last, the one command here that samples
         ["expect-size", "--n-list", "8", "--samples", "5"],
     ]
-    src = str(Path(suffixlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        env=env_with_src(), capture_output=True, text=True, check=True, timeout=120,
     )
     report = json.loads(proc.stdout)
     assert [label for label, _ in report] == ["build_parser"] + [
@@ -215,6 +219,52 @@ def test_out_that_cannot_be_opened_exits_2(args, tmp_path, capsys):
     assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["verify", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["verify", "--out", "{missing}"], "{missing}"),
+        (["omega", "--n", "64", "--out", "{missing}"], "{missing}"),
+    ],
+)
+def test_bad_seed_or_out_exits_2_before_any_work(args, named, tmp_path, monkeypatch, capsys):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the refusal must come before any work")
+
+    monkeypatch.setattr(experiments, "run_verification", no_work)
+    monkeypatch.setattr(counting, "period_set_populations", no_work)
+    missing = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run_cli([arg.format(missing=missing) for arg in args], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named.format(missing=missing) in err
+
+
+@pytest.mark.parametrize("existing", ["kept\n", None])
+def test_refused_command_leaves_out_as_it_was(existing, tmp_path, capsys):
+    # the --out check runs before the work, which then refuses n
+    path = tmp_path / "o.csv"
+    if existing is not None:
+        path.write_text(existing)
+    n = counting.MAX_EXACT_N + 1
+    assert run_cli(["omega", "--n", str(n), "--out", str(path)], capsys)[0] == 2
+    assert (path.read_text() if path.exists() else None) == existing
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # 300 symbols give megabytes of DOT, far more than a pipe buffers
+    text = "".join(random.Random(2).choices("ab", k=300))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "suffixlab.cli", "tree", text, "--dot"],
+        env=env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"digraph suffixtree {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 @pytest.mark.parametrize("args", [["omega", "--n", "4"], ["expect-size", "--n-list", "4"], ["verify"]])
 def test_workers_below_one_exits_2(args, capsys):
     code, out, err = run_cli(args + ["--workers", "0"], capsys)
@@ -293,6 +343,9 @@ EXPECT_GROWTH_SEED9 = ["expect-growth", "--sigma", "2", "--n", "32", "--samples"
         (["expect-size", "--mode", "exhaustive", "--sigma", "2", "--n-list", "1,2,4,8"], "expect_size_exhaustive.csv"),
         (EXPECT_GROWTH_SEED9, "expect_growth_seed9.csv"),
         (EXPECT_GROWTH_SEED9 + ["--format", "json"], "expect_growth_seed9.json"),
+        # recorded by the route that merged every length's full period-set
+        # populations, with the cap lifted to 128
+        (["expect-size", "--mode", "exhaustive", "--sigma", "2", "--n-list", "64,128"], "expect_size_exhaustive_n128.csv"),
     ],
 )
 def test_expect_size_output_matches_golden_bytes(args, golden, capsys):

@@ -292,6 +292,46 @@ def test_merged_populations_and_counts_equal_the_subset_oracle(sigma, n_max):
         assert growth_counts(n, sigma) == counts[n]
 
 
+def growth_counts_by_full_merge(n_max: int, sigma: int) -> list[dict[int, int]]:
+    """Oracle: growth_counts_up_to with every length below n_max taking its
+    classes from its full period-set populations, merged by the periods up
+    to min(n_max - length, length - 1), and each class's series expanded
+    whole, in no particular order."""
+    pops = period_set_populations(n_max - 1, sigma)
+    unique = [[0] * n + [sigma**n] for n in range(n_max + 1)]
+    for length in range(1, n_max):
+        r_top = n_max - length
+        rs = range(1, r_top + 1)
+        acc = [0] * (r_top + 1)
+        for t, c in merged(pops[length], min(r_top, length - 1)).items():
+            periods = [p for p in rs if t >> (p - 1) & 1]
+            f = [1]
+            g = [1]
+            for m in rs:
+                x = -f[m - length] if m >= length else 0
+                for p in periods:
+                    if p > m:
+                        break
+                    x -= g[m - p]
+                g.append(x)
+                f.append(x + sigma * f[m - 1])
+            for r in rs:
+                acc[r] += c * f[r]
+        for r in rs:
+            unique[length + r][length] = acc[r]
+    return [{}] + [
+        {k: unique[n][n - k + 1] - unique[n][n - k] for k in range(1, n + 1)}
+        for n in range(1, n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 40), (4, 30), (5, 20), (1, 12)])
+def test_one_pass_equals_the_full_population_merge(sigma, n_max):
+    # the lengths from 2 n_max / 3 up take their classes by smallest period,
+    # and the classes share series prefixes; the oracle does neither
+    assert growth_counts_up_to(n_max, sigma) == growth_counts_by_full_merge(n_max, sigma)
+
+
 def test_period_set_counts_are_oeis_a005434():
     # the number of distinct period sets (autocorrelations) of each length
     kappa = [1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 27, 30, 37, 47, 57, 62]

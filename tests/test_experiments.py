@@ -143,14 +143,29 @@ def test_exact_expected_size_budget_error(monkeypatch):
         expected_size((8, n + 1), 2, mode="exhaustive")
 
 
+def golden_size_row(golden: str, n: int) -> tuple[float, float]:
+    """(mean, stderr) of the sigma = 2, length-n row of a golden expect-size CSV."""
+    text = (Path(__file__).parent / "golden" / golden).read_text()
+    row = next(line.split(",") for line in text.splitlines() if line.startswith(f"2,{n},"))
+    return float(row[4]), float(row[5])
+
+
 def test_exact_mean_at_64_agrees_with_the_monte_carlo_golden():
     # seed 1, 200 samples: the n = 64 row of `expect-size` in the golden CSV
-    golden = (Path(__file__).parent / "golden" / "expect_size_seed1.csv").read_text()
-    row = next(line.split(",") for line in golden.splitlines() if line.startswith("2,64,"))
-    mean, stderr = float(row[4]), float(row[5])
+    mean, stderr = golden_size_row("expect_size_seed1.csv", 64)
     exact = exact_expected_size(64, 2)
     assert float(exact) == pytest.approx(1849.98613, abs=1e-5)
     assert abs(float(exact) - mean) <= 3 * stderr, (float(exact), mean, stderr)
+
+
+def test_exact_mean_at_128_agrees_with_the_monte_carlo_golden():
+    # the exact mean is the golden recorded by the route that merged every
+    # length's full period-set populations, which test_cli holds the
+    # command to byte for byte
+    exact, _ = golden_size_row("expect_size_exhaustive_n128.csv", 128)
+    mean, stderr = golden_size_row("expect_size_seed1.csv", 128)
+    assert exact == 7655.570475306562
+    assert abs(exact - mean) <= 3 * stderr, (exact, mean, stderr)
 
 
 def test_exact_expected_size_tiny():
