@@ -184,15 +184,19 @@ _SA_WINDOW = 16
 
 def _leading_equal_digits(diff: np.ndarray, q: int, digit: int) -> np.ndarray:
     """For xors of two q-digit keys, the number of leading digits the keys
-    share: binary search over the prefix lengths, each step one shift."""
+    share: the q·digit key bits less the xor's bit length, in whole digits.
+
+    The bit length is frexp's exponent of the xor as a float64, which is
+    exact below 2**53. Above that the conversion rounds to nearest, and a
+    value of b bits lies in [2**(b-1), 2**b), so it rounds to at most
+    2**b: the exponent is b or b + 1, never more. It is b + 1 exactly when
+    the xor shifted right by that exponent less 1 is 0, and then one is
+    taken off. A xor of 0 has exponent 0 and, corrected, bit length 0."""
     import numpy as np
 
-    match = np.zeros(diff.shape, dtype=np.int64)
-    step = q // 2
-    while step:
-        match += step * (diff >> (q - match - step) * digit == 0)
-        step //= 2
-    return match + (diff == 0)
+    bits = np.frexp(diff)[1]
+    bits -= diff >> np.maximum(bits - 1, 0) == 0
+    return (q * digit - np.maximum(bits, 0)) // digit
 
 
 def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +204,19 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symbols ≥ 1, as Str holds them, the terminator ranked above every
     symbol; lcp[:, r] counts the symbols shared by the suffixes at
     sa[:, r - 1] and sa[:, r]. Raises ValueError for a block that is not
-    2-D, has no columns or holds a symbol below 1.
+    2-D, has no columns, holds a symbol below 1 or one of 2**63 - 1 or
+    more, whose terminator digit would not fit in int64.
 
     The digit top = largest symbol + 1 stands for the terminator and for
     every position past the end, so blocks of symbols order as their
     digit strings. Packing (Larsson & Sadakane, 2007): the key of the
-    first 2m symbols of a suffix is the key of its first m shifted left by
-    m digits, or-ed with the key of the m symbols after them. So the keys
-    of the first 1, 2, 4, ..., q symbols take no sort; q is the largest
-    power of two whose q-digit key fits in int64 (1 when two digits do
-    not).
+    first m + e symbols of a suffix, e ≤ m, is the key of its first m
+    shifted left by e digits, or-ed with the key of the m symbols after
+    them shifted right by m - e digits. So the keys of the first 1, 2, 4,
+    ... symbols take no sort, and a last step widens the key to q
+    symbols, the most whose q-digit key fits in 63 bits: 31 for σ ≤ 2,
+    21 for σ = 3 to 6, 15 for σ = 7, 12 for σ = 26 (1 when two digits do
+    not fit).
 
     Then prefix doubling (Manber & Myers, 1993) from k = q: a round sorts
     each row by its key and ranks the first k symbols of every suffix, and
@@ -239,19 +246,26 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (block < 1).any():
         raise ValueError("symbols must be at least 1")
     top = int(block.max(initial=0)) + 1
+    if top > 2**63 - 1:
+        raise ValueError("symbols must be below 2**63 - 1, the largest int64")
     digit = top.bit_length()
+    wide = 63 // digit  # digits in the widest key
     qkey = np.full((rows, n + 1), top, dtype=np.int64)
     qkey[:, :n] = block
     pad = top  # key of q past-the-end digits
     q = 1
-    while 2 * q * digit <= 63:
-        longer = qkey << q * digit
+    while q < wide:
+        extra = min(q, wide - q)  # digits the key gains
+        drop = (q - extra) * digit  # bits of the next q digits that do not fit
+        longer = qkey << extra * digit
         cut = max(n + 1 - q, 0)  # the next q digits start inside the table before cut
+        if drop:
+            qkey[:, q:] >>= drop  # in place: qkey is dead once or-ed into longer
         longer[:, :cut] |= qkey[:, q:]
-        longer[:, cut:] |= pad
+        longer[:, cut:] |= pad >> drop
         qkey = longer
-        pad |= pad << q * digit
-        q *= 2
+        pad = pad << extra * digit | pad >> drop
+        q += extra
 
     lcp = np.zeros((rows, n), dtype=np.int64)
     tables = []  # ranks of the first q, 2q, ... symbols, each with a column past the end
@@ -341,10 +355,13 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     stack, last pushed first, hands consecutive ids to all its children in
     symbol order and pushes the internal ones. An edge span starts at the
     smallest suffix start below it plus the parent's depth. Never builds
-    the simple tree. suffix_arrays costs O(n log n) time and one rank table
-    of n entries per doubling round, one round for each doubling of the
-    longest repeat beyond q symbols; its LCPs cost O(n) elementwise work,
-    plus one gather per round for each adjacent pair that shares q
+    the simple tree. suffix_arrays packs the first q symbols of each
+    suffix into the widest int64 key (31 for σ ≤ 2, 21 for σ = 3 to 6),
+    then costs one O(n log n) sort and one rank table of n entries per
+    doubling round, one round for each doubling of the longest repeat
+    beyond q symbols, so a text with no repeat of q symbols takes one
+    sort. Its LCPs cost O(n) elementwise work, a fixed number of steps per
+    pair, plus one gather per round for each adjacent pair that shares q
     symbols. The stack pass and the layout are linear but run in pure
     Python.
     """

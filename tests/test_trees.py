@@ -284,11 +284,15 @@ def pack_boundary_rows(sigma, q, n, rng):
     ]
 
 
-#: (sigma, q): a packed key holds q digits of bit_length(sigma + 1) bits each
-PACK_WIDTHS = [(1, 16), (2, 16), (3, 16), (4, 16), (26, 8)]
+#: (sigma, q): a packed key holds as many digits of bit_length(sigma + 1)
+#: bits each as fit in 63 bits
+PACK_WIDTHS = [(sigma, 63 // (sigma + 1).bit_length()) for sigma in (1, 2, 3, 4, 7, 26, 40)]
+#: (sigma, p): p is the power of two the key's shift-or doubling reaches
+#: before its last step widens it to q digits
+DOUBLED_WIDTHS = [(sigma, 1 << q.bit_length() - 1) for sigma, q in PACK_WIDTHS]
 
 
-@pytest.mark.parametrize("sigma,q", PACK_WIDTHS)
+@pytest.mark.parametrize("sigma,q", PACK_WIDTHS + DOUBLED_WIDTHS)
 def test_kernel_at_the_pack_boundaries(sigma, q):
     rng = np.random.Generator(np.random.PCG64(sigma))
     alphabet = Alphabet(sigma)
@@ -307,10 +311,11 @@ def test_kernel_at_the_pack_boundaries(sigma, q):
 
 def test_kernel_with_symbols_too_wide_to_pack():
     # 41-bit digits: two do not fit in an int64 key, so q = 1 and every
-    # round is a rank-pair round
+    # round is a rank-pair round; 63-bit digits reach 2**63 - 2, the
+    # largest symbol whose terminator digit still fits
     rng = np.random.Generator(np.random.PCG64(40))
-    for n in (1, 2, 3, 17, 33):
-        block = 2**40 - 1 + np.array(pack_boundary_rows(3, 4, n, rng))
+    for n, base in [(n, 2**40 - 1) for n in (1, 2, 3, 17, 33)] + [(17, 2**63 - 5)]:
+        block = base + np.array(pack_boundary_rows(3, 4, n, rng))
         sa, lcp = trees.suffix_arrays(block)
         sizes = trees.simple_tree_sizes(block)
         for row, row_sa, row_lcp, size in zip(block.tolist(), sa.tolist(), lcp.tolist(), sizes):
@@ -338,7 +343,7 @@ def pack_width_rows(sigma, q, rng):
 
 
 @pytest.mark.parametrize(
-    "sigma,q,base", [(sigma, q, 0) for sigma, q in PACK_WIDTHS] + [(3, 1, 2**40 - 1)]
+    "sigma,q,base", [(sigma, q, 0) for sigma, q in PACK_WIDTHS + DOUBLED_WIDTHS] + [(3, 1, 2**40 - 1)]
 )
 def test_lcp_at_the_pack_width(sigma, q, base):
     # the LCPs below q come off the sorted q-keys, the rest are lifted from
@@ -351,8 +356,25 @@ def test_lcp_at_the_pack_width(sigma, q, base):
         assert set(lengths) <= set(row_lcp), row
 
 
+def leading_equal_digits_by_python(diff, q, digit):
+    """Leading zero digits of a q-digit xor, one digit at a time."""
+    mask = (1 << digit) - 1
+    return next((j for j in range(q) if diff >> (q - 1 - j) * digit & mask), q)
+
+
+def test_leading_equal_digits_at_every_bit():
+    # every (q, digit) pair the kernel packs, with xors whose top bit is b
+    # (2**b and 2**(b + 1) - 1) at each b, and 0; above 2**53 a float64
+    # rounds, and 2**(b + 1) - 1 rounds up to the next power of two
+    for digit in range(2, 64):
+        q = 63 // digit
+        diffs = [0] + [x for b in range(q * digit) for x in (1 << b, (2 << b) - 1)]
+        got = trees._leading_equal_digits(np.array(diffs, dtype=np.int64), q, digit)
+        assert got.tolist() == [leading_equal_digits_by_python(x, q, digit) for x in diffs], digit
+
+
 @given(
-    st.integers(1, 5),
+    st.sampled_from([1, 2, 3, 4, 5, 7, 26]),
     st.integers(1, 200),
     st.lists(st.tuples(st.integers(0, 40), st.integers(0, 3)), min_size=2, max_size=8),
     st.integers(0, 2**32 - 1),
@@ -384,6 +406,7 @@ def test_kernel_rows_equal_a_python_sort(sigma, n, shapes, seed):
         (np.array([[2, -1], [1, 1]]), "at least 1"),
         pytest.param(np.array([1, 2, 1]), r"block must be 2-D, got shape \(3,\)", id="1-D"),
         pytest.param(np.ones((1, 2, 3), dtype=np.int64), r"block must be 2-D, got shape \(1, 2, 3\)", id="3-D"),
+        pytest.param(np.array([[2**63 - 1, 1, 2**63 - 1]]), r"below 2\*\*63 - 1", id="int64-max"),
     ],
 )
 def test_kernel_refuses_blocks_outside_its_domain(block, message):
