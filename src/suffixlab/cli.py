@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import NamedTuple
 
 from . import experiments, trees
 from .strings import from_text
@@ -29,7 +30,7 @@ from .strings import from_text
 MAX_SIMPLE_TREE_NODES = 1 << 22
 
 
-#: The flags more than one subcommand takes; each subcommand names its own.
+#: The flags more than one subcommand takes; each entry of COMMANDS lists the ones it takes.
 #: --workers does nothing; it stays where the benchmark's argv passes it.
 FLAGS = {
     "--sigma": dict(type=int, default=None, help="alphabet size (default: inferred or 2)"),
@@ -39,63 +40,6 @@ FLAGS = {
     "--format": dict(choices=("csv", "json"), default="csv", help="table output format"),
     "--out": dict(type=Path, default=None, help="write output to this file instead of stdout"),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="suffixlab",
-        description="Suffix trees, growth statistics, and aperiodic-string counting experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, flags, help, **defaults) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(func=func, **defaults)
-        return p
-
-    p = command("tree", cmd_tree, "--sigma --out", "build a suffix tree, print a stats line or DOT")
-    p.add_argument("text", help="input string over a..z")
-    p.add_argument("--compact", action="store_true", help="build the compact tree")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of the stats line")
-
-    p = command("growth", cmd_growth, "--sigma --out", "growth of a string")
-    p.add_argument("text", help="input string over a..z")
-
-    p = command("mu", cmd_mu, "--sigma --format --out", "aperiodic-string counts for j = 1..max-j", sigma=2)
-    p.add_argument("--max-j", type=int, required=True)
-
-    p = command("phi", cmd_phi, "--sigma --format --out", "growth-count bounds for k = 1..max-k", sigma=2)
-    p.add_argument("--max-k", type=int, required=True)
-
-    p = command(
-        "omega", cmd_omega, "--sigma --workers --format --out",
-        "exhaustive growth counts for one n", sigma=2,
-    )
-    p.add_argument("--n", type=int, required=True)
-
-    command("verify", cmd_verify, "--seed --workers --out", "run every desk-scale correctness check")
-
-    p = command(
-        "expect-growth", cmd_expect_growth, "--sigma --seed --samples --format --out",
-        "mean growth of random strings", sigma=2,
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("montecarlo", "exhaustive"), default="montecarlo")
-
-    p = command(
-        "expect-size", cmd_expect_size, "--sigma --seed --samples --workers --format --out",
-        "mean simple-tree size of random strings", sigma=2,
-    )
-    p.add_argument("--n-list", type=str, required=True, help="comma-separated lengths, ascending")
-    p.add_argument("--mode", choices=("montecarlo", "exhaustive"), default="montecarlo")
-
-    p = command("search", cmd_search, "--sigma --out", "all occurrences of a pattern")
-    p.add_argument("text", help="string to index, over a..z")
-    p.add_argument("pattern", help="pattern to look up, over a..z")
-
-    return parser
 
 
 def _check_out(out: Path) -> None:
@@ -216,9 +160,95 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    flags: str  # the FLAGS it takes, in order
+    help: str
+    args: tuple = ()  # its own arguments: (name, add_argument keywords) pairs
+    defaults: dict = {}
+
+
+#: Every subcommand, in the order the top-level help lists them.
+COMMANDS = {
+    "tree": Command(
+        cmd_tree, "--sigma --out", "build a suffix tree, print a stats line or DOT",
+        (
+            ("text", dict(help="input string over a..z")),
+            ("--compact", dict(action="store_true", help="build the compact tree")),
+            ("--dot", dict(action="store_true", help="emit DOT instead of the stats line")),
+        ),
+    ),
+    "growth": Command(
+        cmd_growth, "--sigma --out", "growth of a string", (("text", dict(help="input string over a..z")),),
+    ),
+    "mu": Command(
+        cmd_mu, "--sigma --format --out", "aperiodic-string counts for j = 1..max-j",
+        (("--max-j", dict(type=int, required=True)),), dict(sigma=2),
+    ),
+    "phi": Command(
+        cmd_phi, "--sigma --format --out", "growth-count bounds for k = 1..max-k",
+        (("--max-k", dict(type=int, required=True)),), dict(sigma=2),
+    ),
+    "omega": Command(
+        cmd_omega, "--sigma --workers --format --out", "exhaustive growth counts for one n",
+        (("--n", dict(type=int, required=True)),), dict(sigma=2),
+    ),
+    "verify": Command(cmd_verify, "--seed --workers --out", "run every desk-scale correctness check"),
+    "expect-growth": Command(
+        cmd_expect_growth, "--sigma --seed --samples --format --out", "mean growth of random strings",
+        (
+            ("--n", dict(type=int, required=True)),
+            ("--mode", dict(choices=("montecarlo", "exhaustive"), default="montecarlo")),
+        ),
+        dict(sigma=2),
+    ),
+    "expect-size": Command(
+        cmd_expect_size, "--sigma --seed --samples --workers --format --out",
+        "mean simple-tree size of random strings",
+        (
+            ("--n-list", dict(type=str, required=True, help="comma-separated lengths, ascending")),
+            ("--mode", dict(choices=("montecarlo", "exhaustive"), default="montecarlo")),
+        ),
+        dict(sigma=2),
+    ),
+    "search": Command(
+        cmd_search, "--sigma --out", "all occurrences of a pattern",
+        (
+            ("text", dict(help="string to index, over a..z")),
+            ("pattern", dict(help="pattern to look up, over a..z")),
+        ),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named."""
+    parser = argparse.ArgumentParser(
+        prog="suffixlab",
+        description="Suffix trees, growth statistics, and aperiodic-string counting experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=spec.help)
+            for flag in spec.flags.split():
+                p.add_argument(flag, **FLAGS[flag])
+            for arg, keywords in spec.args:
+                p.add_argument(arg, **keywords)
+            p.set_defaults(func=spec.func, **spec.defaults)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command builds only its own parser; without one, the full parser
+    # lists every command in its help and in its errors
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        # raises "unrecognized arguments" under the usage line naming every command
+        build_parser().parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be at least 1")

@@ -140,6 +140,24 @@ def growth_bound(k: int, sigma: int) -> int:
     return total
 
 
+def growth_bounds(k_max: int, sigma: int) -> list[int]:
+    """[growth_bound(k, sigma) for k = 1..k_max], in k_max big-int steps.
+
+    With S(k) = sum_{j=1}^{k-1} count_aperiodic(j, sigma) * sigma^(k-j-1),
+    growth_bound(k, sigma) = count_aperiodic(k, sigma) + (sigma-1) * S(k),
+    and S(1) = 0, S(k+1) = sigma * S(k) + count_aperiodic(k, sigma).
+    """
+    if sigma < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {sigma}")
+    bounds = []
+    running = 0
+    for k in range(1, k_max + 1):
+        aperiodic = count_aperiodic(k, sigma)
+        bounds.append(aperiodic + (sigma - 1) * running)
+        running = sigma * running + aperiodic
+    return bounds
+
+
 def growth_bound_prefix_sum(m: int, sigma: int) -> int:
     """sum_{k=1}^{m} growth_bound(k, sigma); always <= (m+1) * sigma^(m+1)."""
     if m < 1:
@@ -371,7 +389,7 @@ def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tu
     Returns the number of (n, k) pairs compared and the failures:
     ("bound", n, k), ("partition", n) or ("route", n).
     """
-    bounds = {k: growth_bound(k, sigma) for k in range(1, k_max + 1)}
+    bounds = dict(enumerate(growth_bounds(k_max, sigma), start=1))
     pairs = 0
     failures: list[tuple] = []
     for n in range(2, n_max + 1):

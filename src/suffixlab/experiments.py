@@ -167,10 +167,24 @@ def rows_to_json(row_type, rows, **wrapper) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Longest count table `mu` and `phi` print, refused above before any work.
+#: At sigma = 26 a table of 3,000 rows is 6.4 MB of CSV, written in 0.7 s
+#: at a 47 MB peak RSS by a fresh process (2-CPU Xeon, Python 3.11.7).
+#: From about 3,040 rows at sigma = 26 the values have more than 4,300
+#: digits, the most that Python 3.11 turns into a decimal string by default.
+MAX_TABLE_LENGTH = 3000
+
+
+def _check_table_length(name: str, length: int) -> None:
+    if length < 1:
+        raise ValueError(f"{name} must be at least 1, got {length}")
+    if length > MAX_TABLE_LENGTH:
+        raise ValueError(f"{name} must be at most {MAX_TABLE_LENGTH}, got {length}")
+
+
 def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
     """Aperiodic-string counts for j = 1..max_j."""
-    if max_j < 1:
-        raise ValueError(f"max_j must be at least 1, got {max_j}")
+    _check_table_length("max_j", max_j)
     return [
         CountRow(sigma, j, None, counting.count_aperiodic(j, sigma)) for j in range(1, max_j + 1)
     ]
@@ -178,10 +192,10 @@ def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
 
 def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
     """Growth-count bounds for k = 1..max_k."""
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    _check_table_length("max_k", max_k)
     return [
-        CountRow(sigma, None, k, counting.growth_bound(k, sigma)) for k in range(1, max_k + 1)
+        CountRow(sigma, None, k, bound)
+        for k, bound in enumerate(counting.growth_bounds(max_k, sigma), start=1)
     ]
 
 
@@ -194,8 +208,7 @@ def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
     _check_sigma(sigma)
     hist = counting.growth_counts(n, sigma)
     rows = []
-    for k in range(1, n + 1):
-        bound = counting.growth_bound(k, sigma)
+    for k, bound in enumerate(counting.growth_bounds(n, sigma), start=1):
         rows.append(
             GrowthCountRow(
                 sigma=sigma,

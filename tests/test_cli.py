@@ -79,6 +79,22 @@ def test_count_table_bound_below_one_exits_2(command, flag, bound, fmt, capsys):
     assert f"must be at least 1, got {bound}" in err
 
 
+@pytest.mark.parametrize("command,flag,name", [("mu", "--max-j", "max_j"), ("phi", "--max-k", "max_k")])
+def test_count_table_above_the_cap_exits_2_before_any_work(command, flag, name, monkeypatch, capsys):
+    cap = experiments.MAX_TABLE_LENGTH
+    code, out, _ = run_cli([command, flag, str(cap)], capsys)
+    assert code == 0 and out.count("\n") == cap + 1
+
+    def no_work(*_args):
+        raise AssertionError("the refusal must come before any work")
+
+    monkeypatch.setattr(counting, "count_aperiodic", no_work)
+    for length in (cap + 1, 100_000_000):
+        assert run_cli([command, flag, str(length)], capsys) == (
+            2, "", f"error: {name} must be at most {cap}, got {length}\n"
+        )
+
+
 def test_simple_tree_over_the_cap_exits_2_before_building(monkeypatch, capsys):
     text = "".join(random.Random(0).choices("abcd", k=3000))
     nodes = trees.simple_tree_size(from_text(text))
@@ -277,6 +293,67 @@ def test_bad_input_text_exits_2(capsys):
     code, _, err = run_cli(["tree", "ab9"], capsys)
     assert code == 2
     assert "error" in err
+
+
+#: Arguments each subcommand accepts; the cases below add an error to them, so nothing runs.
+VALID = {
+    "tree": ["aabccb"],
+    "growth": ["ab"],
+    "mu": ["--max-j", "2"],
+    "phi": ["--max-k", "2"],
+    "omega": ["--n", "4"],
+    "verify": [],
+    "expect-growth": ["--n", "4"],
+    "expect-size": ["--n-list", "4"],
+    "search": ["ab", "a"],
+}
+
+
+def parser_exits():
+    """Arguments the parser stops at: help, and usage errors."""
+    cases = [[], ["-h"], ["bogus"], ["bogus", "--n", "3"], ["--sigma", "2", "omega"], ["verify", "--budget", "3"]]
+    for command, args in VALID.items():
+        taken = OPTIONS[command].split()
+        foreign = next(flag for flags in OPTIONS.values() for flag in flags.split() if flag not in taken)
+        cases += [[command, "-h"], [command, *args, foreign, "1"], [command, *args, "extra"]]
+        if args:
+            cases.append([command])  # a required argument missing
+    return cases
+
+
+def exit_of(call, args, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        call(args)
+    return (excinfo.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("args", parser_exits(), ids=" ".join)
+def test_parser_exits_as_the_full_parser_does(args, capsys):
+    # the full parser's help and errors name every command; a one-command
+    # parser's would name only its own
+    assert exit_of(cli.main, args, capsys) == exit_of(cli.build_parser().parse_args, args, capsys)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    assert run_cli(["omega", "--n", "8"], capsys)[0] == 0
+    assert added == ["omega"]
+    added.clear()
+    assert exit_of(cli.main, ["-h"], capsys)[0] == 0
+    assert added == list(cli.COMMANDS) and len(added) == 9
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    expected = run_cli(["omega", "--n", "4"], capsys)
+    monkeypatch.setattr(sys, "argv", ["suffixlab", "omega", "--n", "4"])
+    assert run_cli(None, capsys) == expected
 
 
 def test_unknown_command_exits_2(capsys):

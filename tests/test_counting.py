@@ -14,6 +14,7 @@ from suffixlab.counting import (
     count_aperiodic_bruteforce,
     growth_bound,
     growth_bound_prefix_sum,
+    growth_bounds,
     growth_counts,
     growth_counts_up_to,
     growth_histogram,
@@ -77,6 +78,17 @@ def test_growth_bound_small_binary(k, expected):
 def test_growth_bound_needs_two_symbols():
     with pytest.raises(ValueError):
         growth_bound(3, 1)
+
+
+@pytest.mark.parametrize("sigma", range(2, 6))
+def test_growth_bounds_table_equals_the_definition(sigma):
+    assert growth_bounds(60, sigma) == [growth_bound(k, sigma) for k in range(1, 61)]
+    assert growth_bounds(0, sigma) == []
+
+
+def test_growth_bounds_need_two_symbols():
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        growth_bounds(3, 1)
 
 
 def test_growth_bound_prefix_sums():

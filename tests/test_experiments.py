@@ -265,8 +265,9 @@ def test_n_list_text_parses_back(values):
 
 
 def test_verification_detects_a_tampered_bound(monkeypatch):
-    real = counting.growth_bound
-    monkeypatch.setattr(counting, "growth_bound", lambda k, sigma: real(k, sigma) - 1)
+    # the sweep reads its bounds from the linear-time table
+    real = counting.growth_bounds
+    monkeypatch.setattr(counting, "growth_bounds", lambda k_max, sigma: [b - 1 for b in real(k_max, sigma)])
     report = run_verification()
     assert list(report) == list(CHECKS)
     failed = {name for name, (ok, _) in report.items() if not ok}
