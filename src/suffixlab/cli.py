@@ -227,7 +227,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="suffixlab",
         description="Suffix trees, growth statistics, and aperiodic-string counting experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a one-command parser names every command, so its usage errors read as the full parser's
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, spec in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=spec.help)
@@ -245,10 +247,7 @@ def main(argv=None) -> int:
     # a command builds only its own parser; without one, the full parser
     # lists every command in its help and in its errors
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args, extra = build_parser(command).parse_known_args(argv)
-    if extra:
-        # raises "unrecognized arguments" under the usage line naming every command
-        build_parser().parse_args(argv)
+    args = build_parser(command).parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be at least 1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -62,12 +63,42 @@ def _check_sigma(sigma: int) -> None:
         raise ValueError(f"experiments need sigma >= 2, got {sigma}")
 
 
-def _check_sampling(sigma: int, mode: str, samples: int) -> None:
+#: Longest string and most samples a Monte Carlo command draws, refused
+#: above before the first draw. Measured as fresh processes (2-CPU Xeon,
+#: Python 3.11.7, numpy 2.4.6): `expect-size --samples 1` takes about 76 B
+#: of peak RSS per symbol, 732 MB at 10^7 symbols, and `expect-growth --n
+#: 10000000 --samples 1` 264 MB; each sample's values take about 46 B:
+#: `expect-growth --n 2 --samples 10000000` peaks at 495 MB in 46 s.
+MAX_SAMPLED_LENGTH = 10_000_000
+MAX_SAMPLES = 10_000_000
+
+
+def _check_sampling(sigma: int, mode: str, samples: int, n_max: int) -> None:
     _check_sigma(sigma)
     if mode not in ("montecarlo", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "montecarlo" and samples < 1:
-        raise ValueError("montecarlo mode needs at least one sample")
+    if mode == "montecarlo":
+        if samples < 1:
+            raise ValueError("montecarlo mode needs at least one sample")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"montecarlo mode draws at most {MAX_SAMPLES} samples, got {samples}")
+        if n_max > MAX_SAMPLED_LENGTH:
+            raise ValueError(f"montecarlo mode draws strings of at most {MAX_SAMPLED_LENGTH} symbols, got {n_max}")
+
+
+def _check_digits(sigma: int, length: int, factor: int = 1) -> None:
+    """Refuse, before any work, a table whose cells, each at most
+    factor * sigma^length, could pass Python's int-to-string limit; the
+    digit count comes from logarithms, so sigma^length is never formed.
+    Cells at sigma < 2 or length < 1 are short, or refused elsewhere."""
+    # 0, or no such function (Python before 3.10.7): no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sigma >= 2 and length >= 1:
+        digits = math.floor(math.log10(factor) + length * math.log10(sigma)) + 1
+        if digits > limit:
+            raise ValueError(
+                f"table values reach {digits} digits, above Python's int-to-string limit of {limit}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +216,7 @@ def _check_table_length(name: str, length: int) -> None:
 def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
     """Aperiodic-string counts for j = 1..max_j."""
     _check_table_length("max_j", max_j)
+    _check_digits(sigma, max_j)
     return [
         CountRow(sigma, j, None, counting.count_aperiodic(j, sigma)) for j in range(1, max_j + 1)
     ]
@@ -193,6 +225,7 @@ def aperiodic_table(sigma: int, max_j: int) -> list[CountRow]:
 def growth_bound_table(sigma: int, max_k: int) -> list[CountRow]:
     """Growth-count bounds for k = 1..max_k."""
     _check_table_length("max_k", max_k)
+    _check_digits(sigma, max_k, max_k)  # growth_bound(k, sigma) <= k * sigma^k
     return [
         CountRow(sigma, None, k, bound)
         for k, bound in enumerate(counting.growth_bounds(max_k, sigma), start=1)
@@ -206,6 +239,7 @@ def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
     strings and refuses n above counting.MAX_EXACT_N.
     """
     _check_sigma(sigma)
+    _check_digits(sigma, n, n)  # every bound is at most n * sigma^n
     hist = counting.growth_counts(n, sigma)
     rows = []
     for k, bound in enumerate(counting.growth_bounds(n, sigma), start=1):
@@ -258,10 +292,11 @@ def expected_growth(
     Both regimes estimate the same expectation; the second matches the
     prepend-a-random-symbol construction and has lower variance.
     """
-    _check_sampling(sigma, mode, samples)
+    _check_sampling(sigma, mode, samples, n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     if mode == "exhaustive":
+        _check_digits(sigma, n, n)  # the mean's numerator is at most n * sigma^n
         exact = exact_expected_growth(n, sigma)
         return [
             ExpectationRow(
@@ -339,7 +374,7 @@ def expected_size(
     counted by one trees.simple_tree_sizes call: no tree is built.
     Exhaustive means come from one counting pass up to the largest n.
     """
-    _check_sampling(sigma, mode, samples)
+    _check_sampling(sigma, mode, samples, max(n_list, default=0))
     if not n_list:
         raise ValueError("expected-size needs at least one n")
     if list(n_list) != sorted(n_list):
@@ -347,6 +382,8 @@ def expected_size(
     if n_list[0] < 1:
         raise ValueError(f"length must be at least 1, got {n_list[0]}")
     if mode == "exhaustive":
+        # a mean's denominator divides sigma^n, and no tree has (n + 1)^2 nodes
+        _check_digits(sigma, n_list[-1], (n_list[-1] + 1) ** 2)
         sizes = _exact_expected_sizes(n_list[-1], sigma)
         return [
             SizeRow(

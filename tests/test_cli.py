@@ -95,6 +95,75 @@ def test_count_table_above_the_cap_exits_2_before_any_work(command, flag, name, 
         )
 
 
+BIG_SIGMA = str(10**120)
+
+
+@pytest.mark.parametrize(
+    "args,work,digits",
+    [
+        (["mu", "--sigma", "28", "--max-j", "3000"], "count_aperiodic", 4342),
+        (["mu", "--sigma", "1000000", "--max-j", "800"], "count_aperiodic", 4801),
+        (["phi", "--sigma", "28", "--max-k", "3000"], "growth_bounds", 4345),
+        (["omega", "--sigma", BIG_SIGMA, "--n", "40"], "growth_counts", 4802),
+        (["expect-growth", "--mode", "exhaustive", "--sigma", BIG_SIGMA, "--n", "40"], "growth_counts", 4802),
+        (["expect-size", "--mode", "exhaustive", "--sigma", BIG_SIGMA, "--n-list", "40"], "growth_counts_up_to", 4804),
+    ],
+)
+def test_table_past_the_digit_limit_exits_2_before_any_work(args, work, digits, monkeypatch, capsys):
+    def no_work(*_args):
+        raise AssertionError("the refusal must come before any work")
+
+    monkeypatch.setattr(counting, work, no_work)
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(args, capsys) == (
+        2, "", f"error: table values reach {digits} digits, above Python's int-to-string limit of {limit}\n"
+    )
+
+
+def test_table_below_the_digit_limit_is_printed(capsys):
+    # the growth bound at k = 3000 has 4,298 digits, within 4,300
+    code, out, _ = run_cli(["phi", "--sigma", "27", "--max-k", "3000"], capsys)
+    assert code == 0 and out.count("\n") == 3001
+    assert len(out.splitlines()[-1].split(",")[-1]) == 4298
+
+
+def test_no_digit_limit_refuses_nothing(monkeypatch, capsys):
+    class Started(Exception):
+        pass
+
+    def started(*_args):
+        raise Started
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    monkeypatch.setattr(counting, "count_aperiodic", started)
+    with pytest.raises(Started):
+        cli.main(["mu", "--sigma", "28", "--max-j", "3000"])
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["expect-size", "--n-list", "1000000000", "--samples", "1"], "strings of at most {length} symbols, got 1000000000"),
+        (["expect-size", "--n-list", "4,{length1}", "--samples", "1"], "strings of at most {length} symbols, got {length1}"),
+        (["expect-growth", "--n", "1000000000"], "strings of at most {length} symbols, got 1000000000"),
+        (["expect-size", "--n-list", "4", "--samples", "1000000000"], "at most {samples} samples, got 1000000000"),
+        (["expect-growth", "--n", "4", "--samples", "{samples1}"], "at most {samples} samples, got {samples1}"),
+    ],
+)
+def test_sampling_above_the_caps_exits_2_before_any_draw(args, message, monkeypatch, capsys):
+    def no_draw(*_args):
+        raise AssertionError("the refusal must come before any draw")
+
+    monkeypatch.setattr(experiments, "new_rng", no_draw)
+    monkeypatch.setattr(experiments, "_sample_blocks", no_draw)
+    caps = dict(
+        length=experiments.MAX_SAMPLED_LENGTH, length1=experiments.MAX_SAMPLED_LENGTH + 1,
+        samples=experiments.MAX_SAMPLES, samples1=experiments.MAX_SAMPLES + 1,
+    )
+    args = [arg.format(**caps) for arg in args]
+    assert run_cli(args, capsys) == (2, "", f"error: montecarlo mode draws {message.format(**caps)}\n")
+
+
 def test_simple_tree_over_the_cap_exits_2_before_building(monkeypatch, capsys):
     text = "".join(random.Random(0).choices("abcd", k=3000))
     nodes = trees.simple_tree_size(from_text(text))
@@ -316,8 +385,10 @@ def parser_exits():
         taken = OPTIONS[command].split()
         foreign = next(flag for flags in OPTIONS.values() for flag in flags.split() if flag not in taken)
         cases += [[command, "-h"], [command, *args, foreign, "1"], [command, *args, "extra"]]
+        cases.append([command, *args, "w", "x", "y", "z"])
         if args:
             cases.append([command])  # a required argument missing
+            cases.append([command, *args, "--budget", "3"])  # verify's is above
     return cases
 
 
@@ -345,6 +416,11 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
     assert run_cli(["omega", "--n", "8"], capsys)[0] == 0
     assert added == ["omega"]
+    for args in (["omega", "--n", "8", "--bogus"], ["verify", "extra"]):
+        # argv is parsed once, even when a usage error names every command
+        added.clear()
+        assert exit_of(cli.main, args, capsys)[0] == 2
+        assert added == args[:1]
     added.clear()
     assert exit_of(cli.main, ["-h"], capsys)[0] == 0
     assert added == list(cli.COMMANDS) and len(added) == 9
