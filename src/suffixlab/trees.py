@@ -11,13 +11,14 @@ against.
 
 One kernel, suffix_arrays, sorts the suffixes of a block of strings with
 numpy: keys that pack the first few symbols of each suffix into one
-int64, then prefix doubling on rank pairs. A string of at most
-_SA_WINDOW symbols is sorted in pure Python instead. The simple tree's
-node count is read off the same arrays: one root, n leaves and one
-internal node per distinct nonempty substring, which number C(n+1, 2)
-minus the LCP sum. The sampling experiments use that count; the tree
-itself remains the object under study and the oracle the count is
-checked against.
+int64, sorted once, then prefix doubling on rank pairs if some keys tie.
+A string of at most _SA_WINDOW symbols is sorted in pure Python instead.
+The simple tree's node count is read off the LCPs: one root, n leaves
+and one internal node per distinct nonempty substring, which number
+C(n+1, 2) minus the LCP sum. simple_tree_sizes needs no suffix array for
+that, only the sorted key values, unless keys tie. The sampling
+experiments use that count; the tree itself remains the object under
+study and the oracle the count is checked against.
 
 The growth of a string is the number of new internal nodes the full
 string contributes when it is inserted last, which equals n minus the
@@ -178,7 +179,7 @@ class CompactSuffixTree(TreeBase):
 
 
 #: strings of at most this many symbols are sorted by whole suffixes in
-#: pure Python; longer ones go through suffix_arrays
+#: pure Python; longer ones go through the numpy kernel
 _SA_WINDOW = 16
 
 
@@ -199,43 +200,10 @@ def _leading_equal_digits(diff: np.ndarray, q: int, digit: int) -> np.ndarray:
     return (q * digit - np.maximum(bits, 0)) // digit
 
 
-def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based suffix arrays and LCP arrays of the rows of a 2-D block of
-    symbols ≥ 1, as Str holds them, the terminator ranked above every
-    symbol; lcp[:, r] counts the symbols shared by the suffixes at
-    sa[:, r - 1] and sa[:, r]. Raises ValueError for a block that is not
-    2-D, has no columns, holds a symbol below 1 or one of 2**63 - 1 or
-    more, whose terminator digit would not fit in int64.
-
-    The digit top = largest symbol + 1 stands for the terminator and for
-    every position past the end, so blocks of symbols order as their
-    digit strings. Packing (Larsson & Sadakane, 2007): the key of the
-    first m + e symbols of a suffix, e ≤ m, is the key of its first m
-    shifted left by e digits, or-ed with the key of the m symbols after
-    them shifted right by m - e digits. So the keys of the first 1, 2, 4,
-    ... symbols take no sort, and a last step widens the key to q
-    symbols, the most whose q-digit key fits in 63 bits: 31 for σ ≤ 2,
-    21 for σ = 3 to 6, 15 for σ = 7, 12 for σ = 26 (1 when two digits do
-    not fit).
-
-    Then prefix doubling (Manber & Myers, 1993) from k = q: a round sorts
-    each row by its key and ranks the first k symbols of every suffix, and
-    the next key is the pair (rank[i], rank[i + k]), a block past the end
-    ranking above every rank. The pair key's multiplier comes from the
-    largest rank, so keys never collide. Stops once every row's keys
-    differ. The sorts need not be stable: ranks depend only on key values,
-    and the last round's keys all differ, so they alone fix the order.
-
-    The LCPs: a sorted sequence does not depend on how ties were broken,
-    so the first round's sorted q-keys are the q-keys in the final order,
-    and an adjacent pair shares as many symbols as their keys share
-    leading digits, below q. Only the pairs whose q-keys are equal are
-    lifted further (binary lifting over the rounds' rank tables: a block
-    extends a match when it has the same rank at both suffixes), and
-    their last step below q is read off the q-keys at the lifted offsets.
-    Each table has a column past the end, the all-pad key or a rank of -1,
-    which no suffix inside the string matches.
-    """
+def _packed_keys(block: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The checks and the packing of suffix_arrays, run once per block by
+    either entry point: the q-keys of every suffix, with the all-pad key
+    in a column past the end, then q and the bits of one digit."""
     import numpy as np
 
     if block.ndim != 2:
@@ -259,23 +227,79 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         drop = (q - extra) * digit  # bits of the next q digits that do not fit
         longer = qkey << extra * digit
         cut = max(n + 1 - q, 0)  # the next q digits start inside the table before cut
+        tail = longer[:, cut:] | pad >> drop
         if drop:
-            qkey[:, q:] >>= drop  # in place: qkey is dead once or-ed into longer
-        longer[:, :cut] |= qkey[:, q:]
-        longer[:, cut:] |= pad >> drop
+            qkey >>= drop  # in place: qkey is dead once or-ed into longer
+        # one or over the rows laid end to end, which runs about twice as
+        # fast as a strided one; the columns from cut read the next row, so
+        # they take the tail instead
+        longer.ravel()[:-q] |= qkey.ravel()[q:]
+        longer[:, cut:] = tail
         qkey = longer
         pad = pad << extra * digit | pad >> drop
         q += extra
+    return qkey, q, digit
 
-    lcp = np.zeros((rows, n), dtype=np.int64)
-    tables = []  # ranks of the first q, 2q, ... symbols, each with a column past the end
+
+def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based suffix arrays and LCP arrays of the rows of a 2-D block of
+    symbols ≥ 1, as Str holds them, the terminator ranked above every
+    symbol; lcp[:, r] counts the symbols shared by the suffixes at
+    sa[:, r - 1] and sa[:, r]. Raises ValueError for a block that is not
+    2-D, has no columns, holds a symbol below 1 or one of 2**63 - 1 or
+    more, whose terminator digit would not fit in int64.
+
+    The digit top = largest symbol + 1 stands for the terminator and for
+    every position past the end, so blocks of symbols order as their
+    digit strings. Packing (Larsson & Sadakane, 2007): the key of the
+    first m + e symbols of a suffix, e ≤ m, is the key of its first m
+    shifted left by e digits, or-ed with the key of the m symbols after
+    them shifted right by m - e digits. So the keys of the first 1, 2, 4,
+    ... symbols take no sort, and a last step widens the key to q
+    symbols, the most whose q-digit key fits in 63 bits: 31 for σ ≤ 2,
+    21 for σ = 3 to 6, 15 for σ = 7, 12 for σ = 26 (1 when two digits do
+    not fit).
+
+    One sort of each row by its q-keys follows. A sorted sequence does
+    not depend on how ties were broken, so these are the q-keys in the
+    final order, and an adjacent pair shares as many symbols as their keys
+    share leading digits, below q. When no pair's keys are equal, that
+    sort is the suffix array and the LCPs are done: a block whose q-keys
+    all differ costs one sort and builds no rank table.
+
+    Otherwise prefix doubling (Manber & Myers, 1993) goes on from k = q: a
+    round ranks the first k symbols of every suffix by the last sort, and
+    the next key is the pair (rank[i], rank[i + k]), a block past the end
+    ranking above every rank, sorted in turn. The pair key's multiplier
+    comes from the largest rank, so keys never collide. Stops once every
+    row's keys differ. The sorts need not be stable: ranks depend only on
+    key values, and the last round's keys all differ, so they alone fix
+    the order. Only the pairs whose q-keys are equal are lifted further
+    (binary lifting over the rounds' rank tables: a block extends a match
+    when it has the same rank at both suffixes), and their last step
+    below q is read off the q-keys at the lifted offsets. Each table has a
+    column past the end, the all-pad key or a rank of -1, which no suffix
+    inside the string matches.
+    """
+    return _sorted_suffixes(*_packed_keys(block))
+
+
+def _sorted_suffixes(qkey: np.ndarray, q: int, digit: int) -> tuple[np.ndarray, np.ndarray]:
+    """suffix_arrays of the block whose keys _packed_keys returned."""
+    import numpy as np
+
+    rows, n = qkey.shape[0], qkey.shape[1] - 1
     key = qkey[:, :n]
+    sa = np.argsort(key, axis=1)
+    ordered = np.take_along_axis(key, sa, axis=1)
+    lcp = np.zeros((rows, n), dtype=np.int64)
+    lcp[:, 1:] = _leading_equal_digits(ordered[:, :-1] ^ ordered[:, 1:], q, digit)
+    pair = np.flatnonzero(lcp == q)  # pairs sharing q symbols; lcp[:, 0] is 0 < q
+    if not pair.size:  # every row's q-keys differ, so they alone fix the order
+        return sa, lcp
+    tables = []  # ranks of the first q, 2q, ... symbols, each with a column past the end
     k = q
     while True:
-        sa = np.argsort(key, axis=1)
-        ordered = np.take_along_axis(key, sa, axis=1)
-        if k == q:
-            lcp[:, 1:] = _leading_equal_digits(ordered[:, :-1] ^ ordered[:, 1:], q, digit)
         sorted_rank = np.zeros((rows, n), dtype=np.int64)
         np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
         if (sorted_rank[:, -1] == n - 1).all():
@@ -288,9 +312,10 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key[:, : n - k] += rank[:, k:]  # k < n: ranks of longer blocks all differ
         key[:, n - k :] += above
         k *= 2
+        sa = np.argsort(key, axis=1)
+        ordered = np.take_along_axis(key, sa, axis=1)
 
     del key, ordered, sorted_rank  # dead, and the gathers below set the peak at large n
-    pair = np.flatnonzero(lcp == q)  # pairs sharing q symbols; lcp[:, 0] is 0 < q
     left = pair // n * (n + 1)  # where the pair's row starts in a table
     right = left + sa.ravel()[pair]
     left += sa.ravel()[pair - 1]
@@ -333,14 +358,31 @@ def simple_tree_size(s: Str) -> int:
     n = len(s)
     if n < 1:
         raise ValueError("cannot build a suffix tree for the empty string")
+    if n > _SA_WINDOW:
+        import numpy as np
+
+        return int(simple_tree_sizes(np.array([s.symbols]))[0])
     return n * (n + 1) // 2 - sum(_sa_lcp(s.symbols)[1]) + n + 1
 
 
 def simple_tree_sizes(block: np.ndarray) -> np.ndarray:
-    """simple_tree_size of every row of a 2-D block, from one suffix_arrays
-    call, which raises ValueError for a block outside its domain."""
-    lcp = suffix_arrays(block)[1]
-    n = lcp.shape[1]
+    """simple_tree_size of every row of a 2-D block, which raises
+    ValueError for a block suffix_arrays refuses. A size needs the LCP sum
+    and no suffix array: when a row's q-keys all differ, its sorted key
+    values alone give every adjacent pair's LCP, read off their xor as
+    suffix_arrays reads it, so such a block costs one np.sort and no rank
+    table. A block with a tie goes through the whole kernel, on the keys
+    already packed."""
+    import numpy as np
+
+    qkey, q, digit = _packed_keys(block)
+    n = qkey.shape[1] - 1
+    ordered = np.sort(qkey[:, :n], axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        del ordered  # dead, and the kernel sets the peak at large n
+        lcp = _sorted_suffixes(qkey, q, digit)[1]
+    else:
+        lcp = _leading_equal_digits(ordered[:, :-1] ^ ordered[:, 1:], q, digit)
     return n * (n + 1) // 2 - lcp.sum(axis=1) + n + 1
 
 
@@ -356,14 +398,14 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     symbol order and pushes the internal ones. An edge span starts at the
     smallest suffix start below it plus the parent's depth. Never builds
     the simple tree. suffix_arrays packs the first q symbols of each
-    suffix into the widest int64 key (31 for σ ≤ 2, 21 for σ = 3 to 6),
-    then costs one O(n log n) sort and one rank table of n entries per
-    doubling round, one round for each doubling of the longest repeat
-    beyond q symbols, so a text with no repeat of q symbols takes one
-    sort. Its LCPs cost O(n) elementwise work, a fixed number of steps per
-    pair, plus one gather per round for each adjacent pair that shares q
-    symbols. The stack pass and the layout are linear but run in pure
-    Python.
+    suffix into the widest int64 key (31 for σ ≤ 2, 21 for σ = 3 to 6)
+    and sorts them once, in O(n log n); a text with no repeat of q symbols
+    is then done and builds no rank table. Each doubling of the longest
+    repeat beyond q symbols adds a round: one rank table of n entries and
+    one more sort. Its LCPs cost O(n) elementwise work, a fixed number of
+    steps per pair, plus one gather per round for each adjacent pair that
+    shares q symbols. The stack pass and the layout are linear but run in
+    pure Python.
     """
     n = len(s)
     if n < 1:

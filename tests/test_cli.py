@@ -499,6 +499,10 @@ EXPECT_GROWTH_SEED9 = ["expect-growth", "--sigma", "2", "--n", "32", "--samples"
         # recorded by the route that merged every length's full period-set
         # populations, with the cap lifted to 128
         (["expect-size", "--mode", "exhaustive", "--sigma", "2", "--n-list", "64,128"], "expect_size_exhaustive_n128.csv"),
+        # the n = 2048 block's packed keys all differ, so its sizes come off
+        # one sort; each n = 100000 row shares 31 symbols between some
+        # suffixes (13 pairs in all) and goes through the whole kernel
+        (["expect-size", "--n-list", "2048,100000", "--samples", "4", "--seed", "1"], "expect_size_seed1_long.csv"),
     ],
 )
 def test_expect_size_output_matches_golden_bytes(args, golden, capsys):

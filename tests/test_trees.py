@@ -398,6 +398,93 @@ def test_kernel_rows_equal_a_python_sort(sigma, n, shapes, seed):
         assert (row_sa, row_lcp) == suffixes_by_python_sort(row), row
 
 
+def tie_free_block():
+    """32 uniform binary rows of 256 symbols; no row repeats 31 symbols, the
+    q of a σ = 2 key, so every row's packed keys differ."""
+    block = np.random.Generator(np.random.PCG64(1)).integers(1, 3, size=(32, 256))
+    assert trees.suffix_arrays(block)[1].max() < 31
+    return block
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named trees functions so that each call appends its name."""
+    calls = []
+    for name in names:
+        real = getattr(trees, name)
+        monkeypatch.setattr(trees, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def refuse(*args):
+    raise AssertionError("called")
+
+
+def test_sizes_of_a_tie_free_block_take_one_sort(monkeypatch):
+    block = tie_free_block()
+    expected = [size_by_automaton(Str(tuple(row), Alphabet(2))) for row in block.tolist()]
+    calls = count_calls(monkeypatch, "_packed_keys")
+    monkeypatch.setattr(trees, "suffix_arrays", refuse)
+    monkeypatch.setattr(trees, "_sorted_suffixes", refuse)
+    assert trees.simple_tree_sizes(block).tolist() == expected
+    assert calls == ["_packed_keys"]
+
+
+def test_a_tied_row_sends_its_block_through_the_kernel_once(monkeypatch):
+    block = tie_free_block()
+    block[5, 200:240] = block[5, 10:50]  # two suffixes of row 5 share 40 > 31 symbols
+    expected = [size_by_automaton(Str(tuple(row), Alphabet(2))) for row in block.tolist()]
+    calls = count_calls(monkeypatch, "_packed_keys", "_sorted_suffixes")
+    assert trees.simple_tree_sizes(block).tolist() == expected
+    assert calls == ["_packed_keys", "_sorted_suffixes"]
+
+
+def test_suffix_arrays_of_a_tie_free_block_build_no_rank_table(monkeypatch):
+    block = tie_free_block()
+    sa, lcp = trees.suffix_arrays(block)
+    calls = count_calls(monkeypatch, "_packed_keys", "_sorted_suffixes")
+    for name in ("cumsum", "put_along_axis"):
+        monkeypatch.setattr(np, name, refuse)
+    got_sa, got_lcp = trees.suffix_arrays(block)
+    assert calls == ["_packed_keys", "_sorted_suffixes"]
+    assert np.array_equal(got_sa, sa) and np.array_equal(got_lcp, lcp)
+
+
+def test_simple_tree_size_above_the_window_lists_no_suffix_array(monkeypatch):
+    s = make_string(np.random.Generator(np.random.PCG64(2)).integers(1, 3, size=300).tolist(), Alphabet(2))
+    expected = size_by_automaton(s)
+    monkeypatch.setattr(trees, "_sa_lcp", refuse)
+    monkeypatch.setattr(trees, "suffix_arrays", refuse)
+    assert simple_tree_size(s) == expected
+
+
+@given(
+    st.sampled_from([1, 2, 3, 4, 26]),
+    st.integers(1, 120),
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(0, 3)), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sizes_equal_the_kernel_and_the_automaton(sigma, n, shapes, seed):
+    """Blocks mixing uniform rows (period 0), powers of short words with a
+    few symbols changed, and copies of an earlier row (period -1): a copy's
+    keys equal its twin's but belong to another row, so they tie nothing."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for period, changes in shapes:
+        row = rng.integers(1, sigma + 1, size=n)
+        if period < 0 and rows:
+            row = rows[int(rng.integers(0, len(rows)))].copy()
+        elif period > 0:
+            row = np.resize(row[:period], n)
+            row[rng.integers(0, n, size=changes)] = rng.integers(1, sigma + 1, size=changes)
+        rows.append(row)
+    block = np.array(rows)
+    lcp = trees.suffix_arrays(block)[1]
+    sizes = trees.simple_tree_sizes(block).tolist()
+    assert sizes == (n * (n + 1) // 2 - lcp.sum(axis=1) + n + 1).tolist()
+    assert sizes == [distinct_substrings_by_automaton(tuple(row)) + n + 1 for row in block.tolist()]
+
+
 @pytest.mark.parametrize(
     "block,message",
     [
