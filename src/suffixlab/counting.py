@@ -384,7 +384,8 @@ def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tu
     count must not exceed the bound. Also checks, for every enumerated n,
     that the histogram sums to sigma^n (the growth values partition all
     strings) and that growth_counts, which enumerates nothing, returns the
-    same histogram.
+    same histogram; its histograms for every n come from one
+    growth_counts_up_to pass.
 
     Returns the number of (n, k) pairs compared and the failures:
     ("bound", n, k), ("partition", n) or ("route", n).
@@ -392,11 +393,12 @@ def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tu
     bounds = dict(enumerate(growth_bounds(k_max, sigma), start=1))
     pairs = 0
     failures: list[tuple] = []
+    counts = growth_counts_up_to(n_max, sigma)
     for n in range(2, n_max + 1):
         hist = growth_histogram(n, sigma)
         if sum(hist.values()) != sigma**n:
             failures.append(("partition", n))
-        if growth_counts(n, sigma) != hist:
+        if counts[n] != hist:
             failures.append(("route", n))
         for k in range(1, min(k_max, n // 2) + 1):
             pairs += 1

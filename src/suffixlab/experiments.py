@@ -6,22 +6,26 @@ Sampling uses numpy's PCG64 generator. The algorithm is fixed and its
 output stream documented, so a seed pins the sampled strings on every
 platform; Monte Carlo commands are therefore byte-reproducible. numpy is
 imported by new_rng, so commands that never sample do not load it.
+
+Table rows are NamedTuples, and a table's columns are its row type's
+_fields. json, statistics and fractions are imported by the functions
+that use them (rows_to_json, the Monte Carlo means and the exact means),
+so a command loads each only when it writes JSON, samples or computes an
+exact mean.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import statistics
 import sys
-from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from . import counting, trees
 from .strings import Alphabet, Str, enumerate_strings, from_text, growth_of_symbols
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -106,8 +110,7 @@ def _check_digits(sigma: int, length: int, factor: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     """One line of a `mu` or `phi` table: j_or_n is set for aperiodic
     counts (length j), k for growth bounds."""
 
@@ -117,8 +120,7 @@ class CountRow:
     value: int
 
 
-@dataclass(frozen=True)
-class GrowthCountRow:
+class GrowthCountRow(NamedTuple):
     """One line of the growth-count table: exhaustive count vs. bound."""
 
     sigma: int
@@ -130,8 +132,7 @@ class GrowthCountRow:
     holds: bool
 
 
-@dataclass(frozen=True)
-class ExpectationRow:
+class ExpectationRow(NamedTuple):
     """Mean growth (or node count) estimate for one (n, regime)."""
 
     sigma: int
@@ -144,8 +145,7 @@ class ExpectationRow:
     mean_exact: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class SizeRow:
+class SizeRow(NamedTuple):
     """Mean simple-tree node count for one n, with the quadratic ratio."""
 
     sigma: int
@@ -158,28 +158,31 @@ class SizeRow:
     mean_exact: Fraction | None = None
 
 
-#: Cell text by the type of the value: floats via repr, exact fractions as p/q.
+#: Cell text by the type of the value: floats via repr; any other value is
+#: an exact Fraction, written p/q.
 _ENCODE = {
     int: str,
     str: str,
     bool: lambda value: "true" if value else "false",
     float: repr,
-    Fraction: lambda value: f"{value.numerator}/{value.denominator}",
     type(None): lambda value: "",
 }
 
 
+def _ratio(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _cell(value) -> str:
-    return _ENCODE[type(value)](value)
+    return _ENCODE.get(type(value), _ratio)(value)
 
 
 def _row_dicts(row_type, rows) -> list[dict[str, str]]:
-    names = [f.name for f in fields(row_type)]
-    return [{name: _cell(getattr(row, name)) for name in names} for row in rows]
+    return [dict(zip(row_type._fields, map(_cell, row))) for row in rows]
 
 
 def rows_to_csv(row_type, rows) -> str:
-    lines = [",".join(f.name for f in fields(row_type))]
+    lines = [",".join(row_type._fields)]
     lines.extend(",".join(cells.values()) for cells in _row_dicts(row_type, rows))
     return "\n".join(lines) + "\n"
 
@@ -187,6 +190,8 @@ def rows_to_csv(row_type, rows) -> str:
 def rows_to_json(row_type, rows, **wrapper) -> str:
     """A JSON list of row objects; given wrapper fields, an object with
     those fields and the list under "rows"."""
+    import json
+
     payload = _row_dicts(row_type, rows)
     if wrapper:
         payload = {**wrapper, "rows": payload}
@@ -258,6 +263,8 @@ def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
 
 
 def _mean_stderr(values) -> tuple[float, float]:
+    import statistics
+
     mean = statistics.fmean(values)
     if len(values) < 2:
         return mean, 0.0
@@ -267,6 +274,8 @@ def _mean_stderr(values) -> tuple[float, float]:
 def _mean_growth(hist: dict[int, int], sigma: int) -> Fraction:
     """The mean of a growth histogram {k: count} over k = 1..n, which
     covers all sigma^n strings."""
+    from fractions import Fraction
+
     return Fraction(sum(k * c for k, c in hist.items()), sigma ** len(hist))
 
 
@@ -339,6 +348,8 @@ def expected_growth(
 def _exact_expected_sizes(n_max: int, sigma: int) -> list[Fraction]:
     """exact_expected_size(n, sigma) for every n = 1..n_max, at index n,
     from one counting.growth_counts_up_to pass."""
+    from fractions import Fraction
+
     counts = counting.growth_counts_up_to(n_max, sigma)
     sizes = [Fraction(0), Fraction(3)]  # index 0 is unused
     growth_sum = Fraction(0)

@@ -5,11 +5,14 @@ lives outside every alphabet and is never stored inside a string. A text
 codec maps 'a'..'z' to 1..26 at the boundary so tests and the CLI can use
 readable literals. Exhaustive sweeps share one enumerator of raw symbol
 tuples and one growth kernel over them.
+
+Alphabet and Str are small slotted classes, immutable after __init__,
+that compare and hash by value; they are plain classes rather than
+dataclasses so that importing the package does not load dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -19,27 +22,70 @@ TERMINATOR = 0
 TERMINATOR_CHAR = "$"
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbol set {1, ..., size} plus a reserved terminator outside it."""
+class _Immutable:
+    """Refuses to set or delete any attribute; __init__ sets the fields
+    through object.__setattr__."""
 
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {self.size}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Str:
-    """Immutable symbol sequence over an Alphabet.
+class Alphabet(_Immutable):
+    """Symbol set {1, ..., size} plus a reserved terminator outside it.
+    Equal sizes make equal alphabets."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"alphabet size must be at least 1, got {size}")
+        object.__setattr__(self, "size", size)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash(self.size)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(size={self.size})"
+
+    def __reduce__(self):
+        return Alphabet, (self.size,)
+
+
+class Str(_Immutable):
+    """Immutable symbol sequence over an Alphabet. Two Strs are equal when
+    their symbols and alphabets are; a Str never equals a plain tuple.
 
     Indexing is 1-based throughout: ``s.sub(i, j)`` is the inclusive
     substring from i to j, so ``s.sub(1, 1)`` is the first symbol.
     """
 
-    symbols: tuple[int, ...]
-    alphabet: Alphabet
+    __slots__ = ("symbols", "alphabet")
+
+    def __init__(self, symbols: tuple[int, ...], alphabet: Alphabet) -> None:
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __eq__(self, other):
+        # trees compare their sources, so equal trees come through here
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.symbols, self.alphabet) == (other.symbols, other.alphabet)
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.alphabet))
+
+    def __reduce__(self):
+        return Str, (self.symbols, self.alphabet)
 
     def __len__(self) -> int:
         return len(self.symbols)

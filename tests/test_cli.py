@@ -185,49 +185,72 @@ def env_with_src() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-IMPORT_PROBE = """
-import contextlib, io, json, sys
-from suffixlab import cli
+#: Modules a command loads only where it uses them. The probe reads its
+#: commands one per argument, split on spaces, and prints one line per
+#: step, "label<TAB>modules loaded since it started", so that it imports
+#: json itself neither before nor after the checks.
+LAZY = (
+    "numpy", "concurrent.futures.process",
+    "dataclasses", "inspect", "json", "statistics", "fractions", "decimal",
+)
 
-LAZY = ("numpy", "concurrent.futures.process")
-report = []
+IMPORT_PROBE = """
+import io, sys
+
+LAZY = %r
+before = {m for m in LAZY if m in sys.modules}
+lines = []
 
 def record(label):
-    report.append([label, [m for m in LAZY if m in sys.modules]])
+    loaded = [m for m in LAZY if m in sys.modules and m not in before]
+    lines.append(label + "\\t" + " ".join(loaded))
+
+from suffixlab import cli
 
 cli.build_parser()
 record("build_parser")
-for args in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(args)
-    record(" ".join(args) + f" -> {code}")
-print(json.dumps(report))
-"""
+stdout = sys.stdout
+for command in sys.argv[1:]:
+    sys.stdout = io.StringIO()
+    code = cli.main(command.split())
+    sys.stdout = stdout
+    record(command + " -> " + str(code))
+print("\\n".join(lines))
+""" % (LAZY,)
 
 
 def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
-    commands = [
-        ["omega", "--n", "8"],
-        ["tree", "aabccb"],
-        ["search", "aabccb", "b"],
-        ["mu", "--max-j", "5"],
-        ["phi", "--max-k", "5"],
-        ["growth", "abcdefabcdab"],
-        ["expect-size", "--mode", "exhaustive", "--n-list", "1,2,4,8"],
-        # last, the one command here that samples
-        ["expect-size", "--n-list", "8", "--samples", "5"],
+    quiet = [
+        "omega --n 8",
+        "tree aabccb",
+        "search aabccb b",
+        "mu --max-j 5",
+        "phi --max-k 5",
+        "growth abcdefabcdab",
     ]
+    exact = "expect-size --mode exhaustive --n-list 1,2,4,8"
+    as_json = "omega --n 8 --format json"
+    # last, the one command here that samples
+    sampling = "expect-size --n-list 8 --samples 5"
+    commands = [*quiet, exact, as_json, sampling]
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", IMPORT_PROBE, *commands],
         env=env_with_src(), capture_output=True, text=True, check=True, timeout=120,
     )
-    report = json.loads(proc.stdout)
-    assert [label for label, _ in report] == ["build_parser"] + [
-        " ".join(args) + " -> 0" for args in commands
-    ]
-    for label, loaded in report[:-1]:
-        assert loaded == [], label
-    assert report[-1][1] == ["numpy"]
+    report = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [label for label, _ in report] == ["build_parser"] + [c + " -> 0" for c in commands]
+    loaded = [set(modules.split()) for _, modules in report]
+    for (label, _), now in zip(report[: 1 + len(quiet)], loaded):
+        assert now == set(), label
+    # exact means are Fractions, and fractions imports decimal
+    assert loaded[-3] in ({"fractions"}, {"fractions", "decimal"})
+    assert loaded[-2] - loaded[-3] == {"json"}
+    # numpy itself imports inspect
+    numpy_own = subprocess.run(
+        [sys.executable, "-c", f"import sys, numpy; print(*(m for m in {LAZY!r} if m in sys.modules))"],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert {"numpy", "statistics"} <= loaded[-1] - loaded[-2] <= {"statistics", *numpy_own}
 
 
 #: Every subcommand's options: the shared flags of cli.FLAGS it takes, then its own.

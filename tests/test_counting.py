@@ -427,15 +427,14 @@ def test_check_growth_bound_report():
 
 
 def test_check_growth_bound_reports_a_counting_route_that_disagrees(monkeypatch):
-    real = counting.growth_counts
+    real = counting.growth_counts_up_to
 
-    def off_by_one_at_7(n, sigma):
-        hist = real(n, sigma)
-        if n == 7:
-            hist[1] += 1
-        return hist
+    def off_by_one_at_7(n_max, sigma):
+        counts = real(n_max, sigma)
+        counts[7][1] += 1
+        return counts
 
-    monkeypatch.setattr(counting, "growth_counts", off_by_one_at_7)
+    monkeypatch.setattr(counting, "growth_counts_up_to", off_by_one_at_7)
     assert check_growth_bound(2, k_max=3, n_max=9) == (18, [("route", 7)])
 
 

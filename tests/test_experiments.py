@@ -275,15 +275,16 @@ def test_verification_detects_a_tampered_bound(monkeypatch):
 
 
 def test_verification_detects_a_wrong_counting_route(monkeypatch):
-    real = counting.growth_counts
+    real = counting.growth_counts_up_to
 
-    def shifted(n, sigma):
-        hist = real(n, sigma)
-        hist[n] -= 1
-        hist[1] += 1
-        return hist
+    def shifted(n_max, sigma):
+        counts = real(n_max, sigma)
+        for n, hist in enumerate(counts[1:], start=1):
+            hist[n] -= 1
+            hist[1] += 1
+        return counts
 
-    monkeypatch.setattr(counting, "growth_counts", shifted)
+    monkeypatch.setattr(counting, "growth_counts_up_to", shifted)
     report = run_verification()
     failed = {name: detail for name, (ok, detail) in report.items() if not ok}
     assert list(failed) == ["growth-count-bound"]

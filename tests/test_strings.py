@@ -48,6 +48,50 @@ def test_alphabet_size_one_is_degenerate_but_legal():
         Alphabet(0)
 
 
+@pytest.mark.parametrize(
+    "value, field",
+    [(Alphabet(2), "size"), (from_text("aab"), "symbols"), (from_text("aab"), "alphabet")],
+)
+def test_fields_cannot_be_assigned_or_deleted(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_equal_values_are_equal_and_hash_equal():
+    assert Alphabet(3) == Alphabet(3) and hash(Alphabet(3)) == hash(Alphabet(3))
+    assert Alphabet(3) != Alphabet(4)
+    s, t = from_text("abca"), Str((1, 2, 3, 1), Alphabet(3))
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert len({s, t, from_text("abca", 4)}) == 2
+    assert s != from_text("abcb") and s != from_text("abca", 4)
+
+
+def test_a_str_never_equals_a_plain_tuple():
+    s = from_text("ab")
+    assert s != (1, 2) and (1, 2) != s
+    assert s != ((1, 2), Alphabet(2))
+    assert Alphabet(2) != 2
+
+
+def test_repr_names_the_fields():
+    assert repr(Alphabet(2)) == "Alphabet(size=2)"
+    assert repr(from_text("aab")) == "Str('aab', sigma=2)"
+    assert repr(from_text("", 3)) == "Str('', sigma=3)"
+
+
+def test_copies_and_pickles_are_equal_values():
+    import copy
+    import pickle
+
+    s = from_text("abcab")
+    for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and clone.alphabet == Alphabet(3)
+
+
 def test_substring_inclusive_range():
     s = from_text("aabccb", 3)
     assert to_text(substring(s, 2, 4)) == "abc"
