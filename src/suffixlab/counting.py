@@ -4,9 +4,9 @@ Everything here is integer arithmetic on Python ints, so the counts and
 the inequalities between them are exact at any size. Growth counts come
 by two independent routes: growth_histogram enumerates every string, and
 growth_counts sums over prefix autocorrelation classes without
-enumerating any. The classes of a prefix length from 2n/3 up follow
-from the smallest period alone (Fine and Wilf), so only the shorter
-lengths build their period sets. Both routes refuse sizes above a limit
+enumerating any. Only the prefix lengths below n/2 need those classes;
+from n/2 up the counts follow from growth_bound, which is exact there
+(proved in growth_counts_up_to). Both routes refuse sizes above a limit
 before doing any work:
 the enumeration, sigma^n strings above DEFAULT_BUDGET; the classes,
 n above the fixed cap MAX_EXACT_N.
@@ -124,7 +124,8 @@ def count_aperiodic_bruteforce(j: int, sigma: int) -> int:
 
 
 def growth_bound(k: int, sigma: int) -> int:
-    """Upper bound on the number of length-n strings with growth k, any n >= 2k.
+    """The number of length-n strings with growth k, for any n >= 2k
+    (proved in growth_counts_up_to); for n < 2k, an upper bound.
 
     Exact evaluation of
         sum_{j=1}^{k-1} count_aperiodic(j, sigma) * (sigma-1) * sigma^(k-j-1)
@@ -192,10 +193,12 @@ def growth_histogram(n: int, sigma: int) -> dict[int, int]:
 
 #: Largest n the counting route answers. At n = 128 and sigma = 2 one pass
 #: (`expect-size --mode exhaustive --n-list 64,128` as a fresh process)
-#: takes 3-4.5 s and 56 MB peak RSS on a 2-CPU Xeon with Python 3.11; at
-#: n = 64, about 0.1 s. The cost follows the number of period sets up to
-#: length 2n/3, which grows faster than any power of n (OEIS A005434), and
-#: the series of the 97,401 classes they merge into at n = 128.
+#: takes 1.9-2.6 s and 24 MB peak RSS on a 2-CPU Xeon with Python 3.11; at
+#: n = 64, about 0.05 s. The cost follows the number of period sets below
+#: length n/2, which grows faster than any power of n (OEIS A005434), and
+#: their series. With the cap lifted, n = 192 took 23 s and 86 MB, and
+#: n = 256 took 128 s and 342 MB, the populations to length 127 setting
+#: the peak.
 MAX_EXACT_N = 128
 
 
@@ -272,26 +275,34 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
     A string has growth at least k exactly when its prefix of length
     n - k + 1 occurs nowhere else in it, so count(k) = N(n-k+1) - N(n-k),
     where N(length) counts the length-n strings whose prefix of that
-    length occurs only once, N(n) = sigma^n and N(0) = 0. With
-    r = n - length, Guibas and Odlyzko's generating function counts the
-    strings that start with a word w and contain it only there as
-    [z^r] 1 / (z^length [length <= r] + (1 - sigma z) c_w(z)), where
-    c_w(z) = 1 + sum of z^p over the periods p of w. For each length the
-    words are merged into classes by their periods up to
-    R = min(n_max - length, length - 1), since no larger one reaches a
-    coefficient up to z^(n_max - length). Each class is expanded once,
-    and its coefficient r counts toward n = length + r.
+    length occurs only once, N(n) = sigma^n and N(0) = 0.
 
-    The classes come by one of two routes. If 2R <= length, any two
-    periods p, q <= R add to at most length, so by Fine and Wilf
-    gcd(p, q) is a period too; the periods up to R are then the
-    multiples of the smallest one, p0, and the words whose smallest
-    period is p0 are fixed by their first p0 symbols, which must form an
-    aperiodic word (a smaller period would divide p0, again by Fine and
-    Wilf). So the class "multiples of p0 up to R" holds
-    count_aperiodic(p0, sigma) words, and the class with no period up to
-    R the rest of sigma^length. Only the lengths with 2R > length, all
-    below 2 n_max / 3, take their classes from period_set_populations.
+    For n >= 2k, count(k) = B(k) = growth_bound(k, sigma). With l = n - k,
+    s has growth k exactly when its prefix of length l recurs, first at a
+    shift p <= k, and its prefix of length l + 1 does not. Then s[:l+p]
+    repeats u = s[:p], and u is aperiodic, or a shift below p would do.
+    If p < k, s[l+p] != s[l], or the longer prefix recurs at p, and
+    k - p - 1 free symbols follow. These choices give the terms of B(k):
+    count_aperiodic(p, sigma) * (sigma - 1) * sigma^(k-p-1) for p < k and
+    count_aperiodic(k, sigma), so count(k) <= B(k) at every n. If l >= k,
+    each choice has growth k: if the prefix of length l recurs at a shift
+    q <= k, s[:l + min(p, q)] has periods p and q and length >= p + q, so
+    by Fine and Wilf it has period gcd(p, q), which divides p; as u is
+    aperiodic, p | q. So q >= p, and if the prefix of length l + 1
+    recurred at q, p < q < k and s[l+p] = s[l+p-q] = s[l], by period q
+    and then p.
+
+    Summing, N(length) = sigma^n - B(1) - ... - B(n - length) for every
+    length >= n/2; as B(k) = S(k+1) - S(k) with S from growth_bounds, the
+    sum is S(n - length + 1). Only the lengths below n/2 need classes. With
+    r = n - length > length, Guibas and Odlyzko's generating function
+    counts the strings that start with a word w and contain it only
+    there as [z^r] 1 / (z^length + (1 - sigma z) c_w(z)), where
+    c_w(z) = 1 + sum of z^p over the periods p of w. Every period of w
+    is below r, so the classes of a length are its period sets, from
+    period_set_populations. Each class is expanded once, to
+    r = n_max - length, and its coefficient r counts toward
+    n = length + r.
 
     The coefficients f[0..m] of a class depend only on its periods up to
     m. The classes are expanded in the order of their period lists, so
@@ -306,21 +317,19 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
         raise ValueError(f"alphabet size must be at least 1, got {sigma}")
     if n_max > MAX_EXACT_N:
         raise ValueError(f"exact counts reach n = {MAX_EXACT_N}, got n = {n_max}")
-    pops = period_set_populations((2 * n_max - 1) // 3, sigma)
-    # unique[n][length] = N(length) for strings of length n
-    unique = [[0] * n + [sigma**n] for n in range(n_max + 1)]
-    for length in range(1, n_max):
+    pops = period_set_populations((n_max - 1) // 2, sigma)
+    # unique[n][length] = N(length) for strings of length n; the bound sums
+    # give it from length ceil(n/2) up, and the series below it
+    sums = [0]  # sums[j] = S(j + 1)
+    for j in range(1, n_max // 2 + 1):
+        sums.append(sigma * sums[-1] + count_aperiodic(j, sigma))
+    unique = [
+        [0] * ((n + 1) // 2) + [sigma**n - b for b in reversed(sums[: n // 2 + 1])]
+        for n in range(n_max + 1)
+    ]
+    for length in range(1, len(pops)):
+        classes = pops[length]
         r_top = n_max - length
-        r_max = min(r_top, length - 1)
-        merged: dict[int, int] = {}
-        if 2 * r_max > length:
-            keep = (1 << r_max) - 1
-            for t, c in pops[length].items():
-                merged[t & keep] = merged.get(t & keep, 0) + c
-        else:
-            for p0 in range(1, r_max + 1):
-                merged[sum(1 << (p - 1) for p in range(p0, r_max + 1, p0))] = count_aperiodic(p0, sigma)
-            merged[0] = sigma**length - sum(merged.values())
         # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
         # satisfies c(z) g = 1 - z^length f, so each step costs one term per
         # period. f[m] joins acc[m], times the words of the run of classes
@@ -333,7 +342,7 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
         words = 0
         previous = None
         # sorting by the reversed bit string orders the classes by period list
-        for t in sorted(merged, key=lambda t: format(t, f"0{r_max}b")[::-1]):
+        for t in sorted(classes, key=lambda t: format(t, f"0{length - 1}b")[::-1]):
             changed = 1 if previous is None else t ^ previous
             first = (changed & -changed).bit_length()
             periods = []
@@ -351,9 +360,9 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
                     x -= g[m - p]
                 g[m] = x
                 f[m] = x + sigma * f[m - 1]
-            words += merged[t]
+            words += classes[t]
             previous = t
-        for r in range(1, r_top + 1):
+        for r in range(length + 1, r_top + 1):
             unique[length + r][length] = acc[r] + (words - since[r]) * f[r]
     return [{}] + [
         {k: unique[n][n - k + 1] - unique[n][n - k] for k in range(1, n + 1)}
@@ -366,8 +375,8 @@ def growth_counts(n: int, sigma: int) -> dict[int, int]:
     equal to growth_histogram(n, sigma) but found without enumerating strings.
 
     The work depends on n, not on sigma^n: it follows the number of period
-    sets of lengths below 2n/3 and the classes they merge into. n above
-    MAX_EXACT_N is refused before any work.
+    sets of lengths below n/2. n above MAX_EXACT_N is refused before any
+    work.
     """
     return growth_counts_up_to(n, sigma)[n]
 
@@ -381,7 +390,7 @@ def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tu
     """Compare exhaustive growth counts against growth_bound.
 
     For every k <= k_max and every n with 2k <= n <= n_max the exhaustive
-    count must not exceed the bound. Also checks, for every enumerated n,
+    count must equal the bound. Also checks, for every enumerated n,
     that the histogram sums to sigma^n (the growth values partition all
     strings) and that growth_counts, which enumerates nothing, returns the
     same histogram; its histograms for every n come from one
@@ -402,7 +411,7 @@ def check_growth_bound(sigma: int, k_max: int, n_max: int) -> tuple[int, list[tu
             failures.append(("route", n))
         for k in range(1, min(k_max, n // 2) + 1):
             pairs += 1
-            if hist[k] > bounds[k]:
+            if hist[k] != bounds[k]:
                 failures.append(("bound", n, k))
     return pairs, failures
 

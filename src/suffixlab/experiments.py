@@ -527,7 +527,7 @@ def _growth_count_bound() -> tuple[bool, str]:
         bad += [(sigma, *failure) for failure in failures]
     ok = not bad
     return ok, (
-        f"count <= bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
+        f"count == bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
         if ok
         else f"failures (sigma, kind, n[, k]): {bad[:4]}"
     )

@@ -164,7 +164,18 @@ def test_growth_histogram_budget_error_reports_required():
 @pytest.mark.parametrize("sigma,n_max", [(1, 6), (2, 14), (3, 9), (4, 7), (5, 5)])
 def test_growth_counts_equal_enumeration(sigma, n_max):
     for n in range(1, n_max + 1):
-        assert growth_counts(n, sigma) == growth_histogram(n, sigma), (sigma, n)
+        hist = growth_histogram(n, sigma)
+        assert growth_counts(n, sigma) == hist, (sigma, n)
+        # the enumeration assumes nothing about the bound, which is exact for 2k <= n
+        if sigma >= 2:
+            for k in range(1, n // 2 + 1):
+                assert hist[k] == growth_bound(k, sigma), (sigma, n, k)
+
+
+def test_one_symbol_has_growth_one_at_every_length():
+    counts = growth_counts_up_to(counting.MAX_EXACT_N, 1)
+    for n in range(1, counting.MAX_EXACT_N + 1):
+        assert counts[n] == {k: int(k == 1) for k in range(1, n + 1)}, n
 
 
 @pytest.mark.parametrize("n,sigma", [(0, 2), (-3, 2), (4, 0)])
@@ -337,11 +348,17 @@ def growth_counts_by_full_merge(n_max: int, sigma: int) -> list[dict[int, int]]:
     ]
 
 
-@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 40), (4, 30), (5, 20), (1, 12)])
+@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 40), (4, 30), (5, 20), (26, 12), (1, 12)])
 def test_one_pass_equals_the_full_population_merge(sigma, n_max):
-    # the lengths from 2 n_max / 3 up take their classes by smallest period,
-    # and the classes share series prefixes; the oracle does neither
-    assert growth_counts_up_to(n_max, sigma) == growth_counts_by_full_merge(n_max, sigma)
+    # the lengths from n/2 up take their counts from the bounds, and the
+    # classes share series prefixes; the oracle does neither, so it checks
+    # the bound's exactness for 2k <= n without assuming it
+    oracle = growth_counts_by_full_merge(n_max, sigma)
+    assert growth_counts_up_to(n_max, sigma) == oracle
+    if sigma >= 2:
+        bounds = growth_bounds(n_max // 2, sigma)
+        for n in range(2, n_max + 1):
+            assert [oracle[n][k] for k in range(1, n // 2 + 1)] == bounds[: n // 2], (sigma, n)
 
 
 def test_period_set_counts_are_oeis_a005434():

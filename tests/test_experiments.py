@@ -265,13 +265,15 @@ def test_n_list_text_parses_back(values):
 
 
 def test_verification_detects_a_tampered_bound(monkeypatch):
-    # the sweep reads its bounds from the linear-time table
+    # the sweep reads its bounds from the linear-time table, and for 2k <= n
+    # a count must equal its bound, so a bound too large fails too
     real = counting.growth_bounds
-    monkeypatch.setattr(counting, "growth_bounds", lambda k_max, sigma: [b - 1 for b in real(k_max, sigma)])
-    report = run_verification()
-    assert list(report) == list(CHECKS)
-    failed = {name for name, (ok, _) in report.items() if not ok}
-    assert "growth-count-bound" in failed
+    for shift in (-1, 1):
+        monkeypatch.setattr(counting, "growth_bounds", lambda k_max, sigma: [b + shift for b in real(k_max, sigma)])
+        report = run_verification()
+        assert list(report) == list(CHECKS)
+        failed = {name for name, (ok, _) in report.items() if not ok}
+        assert "growth-count-bound" in failed, shift
 
 
 def test_verification_detects_a_wrong_counting_route(monkeypatch):
