@@ -191,12 +191,14 @@ def growth_histogram(n: int, sigma: int) -> dict[int, int]:
 # Growth counts by autocorrelation classes
 # ---------------------------------------------------------------------------
 
-#: Largest n the counting route answers. At n = 128 and sigma = 2 one pass
-#: (`expect-size --mode exhaustive --n-list 64,128` as a fresh process)
-#: takes 1.9-2.6 s and 24 MB peak RSS on a 2-CPU Xeon with Python 3.11; at
-#: n = 64, about 0.05 s. The cost follows the number of period sets below
-#: length n/2, which grows faster than any power of n (OEIS A005434), and
-#: their series. With the cap lifted, n = 192 took 23 s and 86 MB, and
+#: Largest n the counting route answers. At n = 128 and sigma = 2, as fresh
+#: processes on a 2-CPU Xeon with Python 3.11 (median of 5), `omega --n 128`
+#: takes 1.37 s and 23.3 MB peak RSS (1.67 s and 23.0 MB when every n's
+#: coefficients were summed and the classes sorted), and `expect-size
+#: --mode exhaustive --n-list 64,128` 1.63 s and 24.1 MB (1.75 s and
+#: 23.7 MB); at n = 64, about 0.05 s. The cost follows the number of
+#: period sets below length n/2, which grows faster than any power of n
+#: (OEIS A005434), and their series. With the cap lifted, n = 192 took 23 s and 86 MB, and
 #: n = 256 took 128 s and 342 MB, the populations to length 127 setting
 #: the peak.
 MAX_EXACT_N = 128
@@ -224,13 +226,18 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
       every period q > length/2 it has above its minimum, keyed by its
       periods above q shifted by q.
     The empty set takes the words left over.
+
+    Each length's dict is in the order of the period lists, that is of
+    the sets' reversed bit strings: the empty set first, then the sets
+    by smallest period p descending, those with the same p in the order
+    of their borders' sets at length - p.
     """
     pops = [{0: 1}]
     # containing[m][p]: the (T', pop) of length m with p in T', for the
     # p <= length_max - m that the recursion can still ask for
     containing: list[list[list[tuple[int, int]]]] = [[]]
     for length in range(1, length_max + 1):
-        sets: dict[int, int] = {}
+        groups = []  # groups[p - 1]: the (T, pop) with smallest period p
         buckets: list[dict[int, int]] = [{} for _ in range(length)]
         half = length // 2
         for p in range(1, length):
@@ -244,9 +251,9 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
                 factor = sigma ** (2 * p - length)
                 bucket = buckets[p]
                 new = [((t << p) | bit, factor * c - bucket.get(t, 0)) for t, c in pops[m].items()]
+            groups.append(new)
             low_q = max(p, half)
             for t, c in new:
-                sets[t] = c
                 rest = t >> low_q
                 while rest:
                     low = rest & -rest
@@ -254,6 +261,9 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
                     bucket = buckets[q]
                     bucket[t >> q] = bucket.get(t >> q, 0) + c
                     rest ^= low
+        sets = {0: 0}
+        for new in reversed(groups):
+            sets.update(new)
         sets[0] = sigma**length - sum(sets.values())
         pops.append(sets)
         reach = min(length - 1, length_max - length)
@@ -302,15 +312,24 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
     is below r, so the classes of a length are its period sets, from
     period_set_populations. Each class is expanded once, to
     r = n_max - length, and its coefficient r counts toward
-    n = length + r.
+    n = length + r. Only the coefficients some n reads are accumulated:
+    r > length here, and for growth_counts, which reads one n, r = n -
+    length alone.
 
     The coefficients f[0..m] of a class depend only on its periods up to
-    m. The classes are expanded in the order of their period lists, so
-    each shares f below its first period that differs from the previous
-    class's, and only the rest is recomputed; a coefficient is added to
-    the total once for each run of classes that share it, times the
-    run's words. n_max above MAX_EXACT_N is refused before any work.
+    m. period_set_populations hands the classes over in the order of
+    their period lists, so each shares f below its first period that
+    differs from the previous class's, and only the rest is recomputed;
+    a coefficient is added to the total once for each run of classes
+    that share it, times the run's words. n_max above MAX_EXACT_N is
+    refused before any work.
     """
+    return [{}] + _growth_counts_from(1, n_max, sigma)
+
+
+def _growth_counts_from(n_min: int, n_max: int, sigma: int) -> list[dict[int, int]]:
+    """growth_counts(n, sigma) for n = n_min..n_max, at index n - n_min,
+    by the one pass growth_counts_up_to describes."""
     if n_max < 1:
         raise ValueError(f"length must be at least 1, got {n_max}")
     if sigma < 1:
@@ -318,18 +337,19 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
     if n_max > MAX_EXACT_N:
         raise ValueError(f"exact counts reach n = {MAX_EXACT_N}, got n = {n_max}")
     pops = period_set_populations((n_max - 1) // 2, sigma)
-    # unique[n][length] = N(length) for strings of length n; the bound sums
-    # give it from length ceil(n/2) up, and the series below it
+    # unique[n - n_min][length] = N(length) for strings of length n; the
+    # bound sums give it from length ceil(n/2) up, and the series below it
     sums = [0]  # sums[j] = S(j + 1)
     for j in range(1, n_max // 2 + 1):
         sums.append(sigma * sums[-1] + count_aperiodic(j, sigma))
     unique = [
         [0] * ((n + 1) // 2) + [sigma**n - b for b in reversed(sums[: n // 2 + 1])]
-        for n in range(n_max + 1)
+        for n in range(n_min, n_max + 1)
     ]
     for length in range(1, len(pops)):
         classes = pops[length]
         r_top = n_max - length
+        need = max(length + 1, n_min - length)  # the first coefficient read
         # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
         # satisfies c(z) g = 1 - z^length f, so each step costs one term per
         # period. f[m] joins acc[m], times the words of the run of classes
@@ -341,8 +361,8 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
         acc = [0] * (r_top + 1)
         words = 0
         previous = None
-        # sorting by the reversed bit string orders the classes by period list
-        for t in sorted(classes, key=lambda t: format(t, f"0{length - 1}b")[::-1]):
+        # the classes come in period-list order (period_set_populations)
+        for t, population in classes.items():
             changed = 1 if previous is None else t ^ previous
             first = (changed & -changed).bit_length()
             periods = []
@@ -350,9 +370,10 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
             while rest:
                 periods.append((rest & -rest).bit_length())
                 rest &= rest - 1
-            for m in range(first, r_top + 1):
+            for m in range(max(first, need), r_top + 1):
                 acc[m] += (words - since[m]) * f[m]
                 since[m] = words
+            for m in range(first, r_top + 1):
                 x = -f[m - length] if m >= length else 0
                 for p in periods:
                     if p > m:
@@ -360,13 +381,13 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
                     x -= g[m - p]
                 g[m] = x
                 f[m] = x + sigma * f[m - 1]
-            words += classes[t]
+            words += population
             previous = t
-        for r in range(length + 1, r_top + 1):
-            unique[length + r][length] = acc[r] + (words - since[r]) * f[r]
-    return [{}] + [
-        {k: unique[n][n - k + 1] - unique[n][n - k] for k in range(1, n + 1)}
-        for n in range(1, n_max + 1)
+        for r in range(need, r_top + 1):
+            unique[length + r - n_min][length] = acc[r] + (words - since[r]) * f[r]
+    return [
+        {k: row[n - k + 1] - row[n - k] for k in range(1, n + 1)}
+        for n, row in enumerate(unique, start=n_min)
     ]
 
 
@@ -378,7 +399,7 @@ def growth_counts(n: int, sigma: int) -> dict[int, int]:
     sets of lengths below n/2. n above MAX_EXACT_N is refused before any
     work.
     """
-    return growth_counts_up_to(n, sigma)[n]
+    return _growth_counts_from(n, n, sigma)[0]
 
 
 # ---------------------------------------------------------------------------

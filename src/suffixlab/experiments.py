@@ -183,7 +183,7 @@ def _row_dicts(row_type, rows) -> list[dict[str, str]]:
 
 def rows_to_csv(row_type, rows) -> str:
     lines = [",".join(row_type._fields)]
-    lines.extend(",".join(cells.values()) for cells in _row_dicts(row_type, rows))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -361,6 +361,25 @@ def test_one_pass_equals_the_full_population_merge(sigma, n_max):
             assert [oracle[n][k] for k in range(1, n // 2 + 1)] == bounds[: n // 2], (sigma, n)
 
 
+@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 64), (4, 40)])
+def test_one_n_series_equals_the_all_n_series(sigma, n_max):
+    # growth_counts accumulates only the one coefficient per length that its n reads
+    counts = growth_counts_up_to(n_max, sigma)
+    for n in range(1, n_max + 1):
+        assert growth_counts(n, sigma) == counts[n], (sigma, n)
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 4])
+def test_populations_come_in_period_list_order(sigma):
+    # the class series expands the classes in this order without sorting
+    # them; its counts hold in any order, but only consecutive classes that
+    # share their smallest periods share coefficients
+    pops = period_set_populations(30, sigma)
+    for length in range(2, 31):
+        by_periods = sorted(pops[length], key=lambda t: format(t, f"0{length - 1}b")[::-1])
+        assert list(pops[length]) == by_periods, (sigma, length)
+
+
 def test_period_set_counts_are_oeis_a005434():
     # the number of distinct period sets (autocorrelations) of each length
     kappa = [1, 2, 3, 4, 6, 8, 10, 13, 17, 21, 27, 30, 37, 47, 57, 62]
