@@ -540,14 +540,14 @@ def test_expect_size_output_matches_golden_bytes(args, golden, capsys):
         (["omega", "--sigma", "2", "--n", "16"], "omega_sigma2_n16.csv"),
         (["omega", "--sigma", "2", "--n", "16", "--format", "json"], "omega_sigma2_n16.json"),
         (["omega", "--sigma", "3", "--n", "9"], "omega_sigma3_n9.csv"),
-        (["omega", "--sigma", "2", "--n", "64"], "omega_sigma2_n64.csv"),
         (["expect-growth", "--mode", "exhaustive", "--sigma", "2", "--n", "12"], "expect_growth_exhaustive.csv"),
-        (["expect-growth", "--mode", "exhaustive", "--sigma", "3", "--n", "40"], "expect_growth_exhaustive_sigma3_n40.csv"),
         (["mu", "--sigma", "3", "--max-j", "8"], "mu_sigma3_j8.csv"),
         (["mu", "--sigma", "3", "--max-j", "8", "--format", "json"], "mu_sigma3_j8.json"),
         (["phi", "--sigma", "2", "--max-k", "10"], "phi_sigma2_k10.csv"),
         (["phi", "--sigma", "2", "--max-k", "10", "--format", "json"], "phi_sigma2_k10.json"),
         (["verify", "--seed", "1"], "verify_seed1.txt"),
+        (["omega", "--sigma", "2", "--n", "64"], "omega_sigma2_n64.csv"),
+        (["expect-growth", "--mode", "exhaustive", "--sigma", "3", "--n", "40"], "expect_growth_exhaustive_sigma3_n40.csv"),
     ],
 )
 def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):
