@@ -221,33 +221,51 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named."""
+def _add_arguments(parser: argparse.ArgumentParser, spec: Command) -> None:
+    """Give parser the arguments and defaults of one command."""
+    for flag in spec.flags.split():
+        parser.add_argument(flag, **FLAGS[flag])
+    for arg, keywords in spec.args:
+        parser.add_argument(arg, **keywords)
+    parser.set_defaults(func=spec.func, **spec.defaults)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, as a subparser, for the top-level
+    help and for an argv that names no command."""
     parser = argparse.ArgumentParser(
         prog="suffixlab",
         description="Suffix trees, growth statistics, and aperiodic-string counting experiments.",
     )
-    # a one-command parser names every command, so its usage errors read as the full parser's
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=spec.help)
-            for flag in spec.flags.split():
-                p.add_argument(flag, **FLAGS[flag])
-            for arg, keywords in spec.args:
-                p.add_argument(arg, **keywords)
-            p.set_defaults(func=spec.func, **spec.defaults)
+        _add_arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command argv names; return its exit code.
+
+    A command builds only its own parser, a standalone one with the prog
+    the full parser would give its subparser, and parses the rest of argv
+    once. What that parse leaves over is reported as the full parser
+    reports it, by a top-level parser that declares every command's name
+    and builds no command's parser, so the usage line still lists every
+    command. No arguments, help and an unknown command go to the full
+    parser.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    # a command builds only its own parser; without one, the full parser
-    # lists every command in its help and in its errors
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"suffixlab {argv[0]}")
+        _add_arguments(parser, COMMANDS[argv[0]])
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            top = argparse.ArgumentParser(prog="suffixlab")
+            top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+            top.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("workers must be at least 1")

@@ -233,6 +233,8 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
     of their borders' sets at length - p.
     """
     pops = [{0: 1}]
+    # divisor_masks[p]: the mask of p's proper divisors, for every p with 2p <= length_max
+    divisor_masks = [sum(1 << (d - 1) for d in proper_divisors(p)) for p in range(length_max // 2 + 1)]
     # containing[m][p]: the (T', pop) of length m with p in T', for the
     # p <= length_max - m that the recursion can still ask for
     containing: list[list[list[tuple[int, int]]]] = [[]]
@@ -244,7 +246,7 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
             m = length - p
             bit = 1 << (p - 1)
             if 2 * p <= length:
-                bad = sum(1 << (d - 1) for d in proper_divisors(p))
+                bad = divisor_masks[p]
                 sources = pops[m].items() if m == p else containing[m][p]
                 new = [((t << p) | bit, c) for t, c in sources if not t & bad]
             else:
@@ -268,12 +270,13 @@ def period_set_populations(length_max: int, sigma: int) -> list[dict[int, int]]:
         pops.append(sets)
         reach = min(length - 1, length_max - length)
         index: list[list[tuple[int, int]]] = [[] for _ in range(reach + 1)]
-        for t, c in sets.items():
-            rest = t & ((1 << reach) - 1)
-            while rest:
-                low = rest & -rest
-                index[low.bit_length()].append((t, c))
-                rest ^= low
+        if reach:  # at reach 0, that is at length 1 and length_max, nothing is filed
+            for t, c in sets.items():
+                rest = t & ((1 << reach) - 1)
+                while rest:
+                    low = rest & -rest
+                    index[low.bit_length()].append((t, c))
+                    rest ^= low
         containing.append(index)
     return pops
 

@@ -409,7 +409,16 @@ def parser_exits():
         foreign = next(flag for flags in OPTIONS.values() for flag in flags.split() if flag not in taken)
         cases += [[command, "-h"], [command, *args, foreign, "1"], [command, *args, "extra"]]
         cases.append([command, *args, "w", "x", "y", "z"])
+        # where a standalone parser could part from a subparser: "--" before
+        # and after the arguments, help after flags and before a leftover, a
+        # flag missing its value, and a repeated flag
+        first = taken[0]  # --sigma or --seed, both ints
+        cases.append([command, "--", *args, "extra"])
+        cases += [[command, first, "2", *args, "-h"], [command, first, "2", *args, "--help"]]
+        cases += [[command, *args, "-h", "extra"], [command, *args, first]]
+        cases.append([command, *args, first, "2", first, "x"])
         if args:
+            cases.append([command, *args, "--", "extra"])  # verify's is the one before
             cases.append([command])  # a required argument missing
             cases.append([command, *args, "--budget", "3"])  # verify's is above
     return cases
@@ -429,24 +438,59 @@ def test_parser_exits_as_the_full_parser_does(args, capsys):
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
-    added = []
-    real = argparse._SubParsersAction.add_parser
+    built, added = [], []
+    init = argparse.ArgumentParser.__init__
+    add_parser = argparse._SubParsersAction.add_parser
 
-    def add_parser(self, name, **kwargs):
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    def recording_add_parser(self, name, **kwargs):
         added.append(name)
-        return real(self, name, **kwargs)
+        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
     assert run_cli(["omega", "--n", "8"], capsys)[0] == 0
-    assert added == ["omega"]
+    assert (built, added) == (["suffixlab omega"], [])
     for args in (["omega", "--n", "8", "--bogus"], ["verify", "extra"]):
-        # argv is parsed once, even when a usage error names every command
-        added.clear()
-        assert exit_of(cli.main, args, capsys)[0] == 2
-        assert added == args[:1]
-    added.clear()
+        # argv is parsed once; the leftovers are reported by a top-level
+        # parser that names every command and builds no command's parser
+        built.clear()
+        code, _, err = exit_of(cli.main, args, capsys)
+        assert code == 2 and "{" + ",".join(cli.COMMANDS) + "}" in err
+        assert (built, added) == ([f"suffixlab {args[0]}", "suffixlab"], [])
+    built.clear()
     assert exit_of(cli.main, ["-h"], capsys)[0] == 0
+    assert built == ["suffixlab"] + [f"suffixlab {name}" for name in cli.COMMANDS]
     assert added == list(cli.COMMANDS) and len(added) == 9
+
+
+#: Arguments a command accepts beyond VALID's: an abbreviated flag, an
+#: "="-joined one, and a repeated one, whose last value counts.
+ACCEPTED = [
+    ["expect-size", "--n-list", "4", "--wor", "1"],
+    ["omega", "--n=5"],
+    ["omega", "--n", "4", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize(
+    "args", [[command, *args] for command, args in VALID.items()] + ACCEPTED, ids=" ".join
+)
+def test_command_parser_reads_argv_as_the_full_parser_does(args, monkeypatch, capsys):
+    seen = []
+
+    def record(namespace):
+        seen.append(vars(namespace))
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, args[0], cli.COMMANDS[args[0]]._replace(func=record))
+    assert run_cli(args, capsys) == (0, "", "")
+    full = vars(cli.build_parser().parse_args(args))
+    assert full.pop("command") == args[0]
+    assert seen == [full]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
