@@ -248,11 +248,9 @@ def main(argv=None) -> int:
 
     A command builds only its own parser, a standalone one with the prog
     the full parser would give its subparser, and parses the rest of argv
-    once. What that parse leaves over is reported as the full parser
-    reports it, by a top-level parser that declares every command's name
-    and builds no command's parser, so the usage line still lists every
-    command. No arguments, help and an unknown command go to the full
-    parser.
+    once. What that parse leaves over is reported by the full parser, so
+    the usage line still lists every command. No arguments, help and an
+    unknown command go to the full parser.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -261,9 +259,7 @@ def main(argv=None) -> int:
         _add_arguments(parser, COMMANDS[argv[0]])
         args, extras = parser.parse_known_args(argv[1:])
         if extras:
-            top = argparse.ArgumentParser(prog="suffixlab")
-            top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-            top.error(f"unrecognized arguments: {' '.join(extras)}")
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     else:
         args = build_parser().parse_args(argv)
     try:

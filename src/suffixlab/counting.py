@@ -192,15 +192,14 @@ def growth_histogram(n: int, sigma: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 #: Largest n the counting route answers. At n = 128 and sigma = 2, as fresh
-#: processes on a 2-CPU Xeon with Python 3.11 (median of 5), `omega --n 128`
-#: takes 1.37 s and 23.3 MB peak RSS (1.67 s and 23.0 MB when every n's
-#: coefficients were summed and the classes sorted), and `expect-size
-#: --mode exhaustive --n-list 64,128` 1.63 s and 24.1 MB (1.75 s and
-#: 23.7 MB); at n = 64, about 0.05 s. The cost follows the number of
-#: period sets below length n/2, which grows faster than any power of n
-#: (OEIS A005434), and their series. With the cap lifted, n = 192 took 23 s and 86 MB, and
-#: n = 256 took 128 s and 342 MB, the populations to length 127 setting
-#: the peak.
+#: processes on a 2-CPU Xeon with Python 3.11.7 (median of 5; single runs
+#: ranged over 1.1-2.2 s on that shared host), `omega --n 128` takes
+#: 1.28 s and 23.3 MB peak RSS, and `expect-size --mode exhaustive
+#: --n-list 64,128` 1.33 s and 23.9 MB; at n = 64, about 0.05 s. The
+#: cost follows the number of period sets below length n/2, which grows
+#: faster than any power of n (OEIS A005434), and their series. With the
+#: cap lifted, n = 192 took 23 s and 86 MB, and n = 256 took 128 s and
+#: 342 MB, the populations to length 127 setting the peak.
 MAX_EXACT_N = 128
 
 
@@ -322,10 +321,11 @@ def growth_counts_up_to(n_max: int, sigma: int) -> list[dict[int, int]]:
     The coefficients f[0..m] of a class depend only on its periods up to
     m. period_set_populations hands the classes over in the order of
     their period lists, so each shares f below its first period that
-    differs from the previous class's, and only the rest is recomputed;
-    a coefficient is added to the total once for each run of classes
-    that share it, times the run's words. n_max above MAX_EXACT_N is
-    refused before any work.
+    differs from the previous class's, and only the rest is recomputed.
+    That period is below length, and every coefficient read has r >
+    length, so each class recomputes all it reads and adds them, times
+    its words, to the totals at once. n_max above MAX_EXACT_N is refused
+    before any work.
     """
     return [{}] + _growth_counts_from(1, n_max, sigma)
 
@@ -355,14 +355,12 @@ def _growth_counts_from(n_min: int, n_max: int, sigma: int) -> list[dict[int, in
         need = max(length + 1, n_min - length)  # the first coefficient read
         # f = 1/d(z) with d = z^length + (1 - sigma z) c(z); g = (1 - sigma z) f
         # satisfies c(z) g = 1 - z^length f, so each step costs one term per
-        # period. f[m] joins acc[m], times the words of the run of classes
-        # that share it, when a class changes it or after the last class;
-        # since[m] is the number of words expanded before that run.
+        # period. A class recomputes f from its first period that differs
+        # from the previous class's; that period is below length < need, so
+        # every coefficient read is the class's own, and it adds its words
+        # times each to the totals.
         f = [1] + [0] * r_top
         g = [1] + [0] * r_top
-        since = [0] * (r_top + 1)
-        acc = [0] * (r_top + 1)
-        words = 0
         previous = None
         # the classes come in period-list order (period_set_populations)
         for t, population in classes.items():
@@ -373,9 +371,6 @@ def _growth_counts_from(n_min: int, n_max: int, sigma: int) -> list[dict[int, in
             while rest:
                 periods.append((rest & -rest).bit_length())
                 rest &= rest - 1
-            for m in range(max(first, need), r_top + 1):
-                acc[m] += (words - since[m]) * f[m]
-                since[m] = words
             for m in range(first, r_top + 1):
                 x = -f[m - length] if m >= length else 0
                 for p in periods:
@@ -384,10 +379,9 @@ def _growth_counts_from(n_min: int, n_max: int, sigma: int) -> list[dict[int, in
                     x -= g[m - p]
                 g[m] = x
                 f[m] = x + sigma * f[m - 1]
-            words += population
+            for r in range(need, r_top + 1):
+                unique[length + r - n_min][length] += population * f[r]
             previous = t
-        for r in range(need, r_top + 1):
-            unique[length + r - n_min][length] = acc[r] + (words - since[r]) * f[r]
     return [
         {k: row[n - k + 1] - row[n - k] for k in range(1, n + 1)}
         for n, row in enumerate(unique, start=n_min)

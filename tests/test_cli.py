@@ -455,13 +455,15 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
     assert run_cli(["omega", "--n", "8"], capsys)[0] == 0
     assert (built, added) == (["suffixlab omega"], [])
     for args in (["omega", "--n", "8", "--bogus"], ["verify", "extra"]):
-        # argv is parsed once; the leftovers are reported by a top-level
-        # parser that names every command and builds no command's parser
+        # argv is parsed once; the leftovers are reported by the full parser
         built.clear()
+        added.clear()
         code, _, err = exit_of(cli.main, args, capsys)
         assert code == 2 and "{" + ",".join(cli.COMMANDS) + "}" in err
-        assert (built, added) == ([f"suffixlab {args[0]}", "suffixlab"], [])
+        assert built == [f"suffixlab {args[0]}", "suffixlab"] + [f"suffixlab {name}" for name in cli.COMMANDS]
+        assert added == list(cli.COMMANDS)
     built.clear()
+    added.clear()
     assert exit_of(cli.main, ["-h"], capsys)[0] == 0
     assert built == ["suffixlab"] + [f"suffixlab {name}" for name in cli.COMMANDS]
     assert added == list(cli.COMMANDS) and len(added) == 9

@@ -361,7 +361,7 @@ def test_one_pass_equals_the_full_population_merge(sigma, n_max):
             assert [oracle[n][k] for k in range(1, n // 2 + 1)] == bounds[: n // 2], (sigma, n)
 
 
-@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 64), (4, 40)])
+@pytest.mark.parametrize("sigma,n_max", [(2, 64), (3, 64), (4, 40), (1, 40), (5, 40), (26, 24)])
 def test_one_n_series_equals_the_all_n_series(sigma, n_max):
     # growth_counts accumulates only the one coefficient per length that its n reads
     counts = growth_counts_up_to(n_max, sigma)
