@@ -163,7 +163,7 @@ def growth_bound_prefix_sum(m: int, sigma: int) -> int:
     """sum_{k=1}^{m} growth_bound(k, sigma); always <= (m+1) * sigma^(m+1)."""
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    return sum(growth_bound(k, sigma) for k in range(1, m + 1))
+    return sum(growth_bounds(m, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,24 @@ def test_search_no_match(capsys):
     assert out == "\n"
 
 
+@pytest.mark.parametrize(
+    "text,pattern,hits",
+    [
+        # the period-3 text of 23 symbols has suffixes sharing up to 20
+        # symbols, fewer than the 21 a sigma = 3 packed key holds, so its
+        # answer comes off the packed keys alone
+        ("abc" * 7 + "ab", "bca", range(2, 21, 3)),
+        # the period-3 text of 33 symbols shares up to 30 > 21, and the
+        # period-2 text of 40 symbols up to 38 > 31 (sigma = 2), so theirs
+        # come through the lifted LCPs
+        ("abc" * 11, "bca", range(2, 30, 3)),
+        ("ab" * 20, "ba", range(2, 39, 2)),
+    ],
+)
+def test_search_on_periodic_texts(text, pattern, hits, capsys):
+    assert run_cli(["search", text, pattern], capsys) == (0, " ".join(map(str, hits)) + "\n", "")
+
+
 def test_expect_growth_exhaustive(capsys):
     code, out, _ = run_cli(
         ["expect-growth", "--sigma", "2", "--n", "2", "--mode", "exhaustive"], capsys

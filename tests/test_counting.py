@@ -96,6 +96,10 @@ def test_growth_bound_prefix_sums():
     assert growth_bound_prefix_sum(3, 2) == 2 + 4 + 12
     for m, sigma in [(1, 2), (3, 2), (5, 3), (20, 5)]:
         assert growth_bound_prefix_sum(m, sigma) <= (m + 1) * sigma ** (m + 1)
+    # the sum of the table equals the sum of the per-k definition
+    for sigma in range(2, 6):
+        for m in range(1, 21):
+            assert growth_bound_prefix_sum(m, sigma) == sum(growth_bound(k, sigma) for k in range(1, m + 1))
 
 
 @pytest.mark.parametrize("sigma", range(2, 7))
