@@ -9,16 +9,18 @@ imported by new_rng, so commands that never sample do not load it.
 
 Table rows are NamedTuples, and a table's columns are its row type's
 _fields. json, statistics and fractions are imported by the functions
-that use them (rows_to_json, the Monte Carlo means and the exact means),
-so a command loads each only when it writes JSON, samples or computes an
-exact mean.
+that use them (rows_to_json, the means of expect-growth's "prefix"
+regime and the exact means), so a command loads each only when it writes
+JSON, samples that regime or computes an exact mean. The means of int
+samples come from exact running sums and load none of them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import counting, trees
 from .strings import Alphabet, Str, enumerate_strings, from_text, growth_of_symbols
@@ -71,8 +73,10 @@ def _check_sigma(sigma: int) -> None:
 #: above before the first draw. Measured as fresh processes (2-CPU Xeon,
 #: Python 3.11.7, numpy 2.4.6): `expect-size --samples 1` takes about 76 B
 #: of peak RSS per symbol, 732 MB at 10^7 symbols, and `expect-growth --n
-#: 10000000 --samples 1` 264 MB; each sample's values take about 46 B:
-#: `expect-growth --n 2 --samples 10000000` peaks at 495 MB in 46 s.
+#: 10000000 --samples 1` 264 MB. expect-size keeps no value per sample:
+#: `expect-size --n-list 64 --samples 10000000` peaks at 35 MB in 16 s.
+#: expect-growth's "prefix" regime keeps each sample's value, about 38 B:
+#: `expect-growth --n 2 --samples 10000000` peaks at 418 MB in 26 s.
 MAX_SAMPLED_LENGTH = 10_000_000
 MAX_SAMPLES = 10_000_000
 
@@ -263,12 +267,48 @@ def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
 
 
 def _mean_stderr(values) -> tuple[float, float]:
+    """Mean and standard error of the mean of float values."""
     import statistics
 
     mean = statistics.fmean(values)
     if len(values) < 2:
         return mean, 0.0
     return mean, statistics.stdev(values) / math.sqrt(len(values))
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """The float nearest √(n/m), for ints n ≥ 0 and m ≥ 1, as Python 3.11's
+    statistics.stdev rounds it. n/m is scaled by a power of 4 so that its
+    integer root has at least 53 + 2 bits; rounded to odd, that root loses
+    nothing to its one rounding to a float
+    (https://bugs.python.org/msg407078)."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _int_mean_stderr(blocks: Iterable[list[int]]) -> tuple[float, float]:
+    """_mean_stderr of the ints in the lists blocks yields, from their
+    count k, sum and sum of squares, kept exact; no list of every value is
+    kept. For values below 2**53 the mean is statistics.fmean's, and the
+    standard error is Python 3.11's statistics.stdev over √k: the root of
+    the exact sample variance (k·Σx² − (Σx)²) / (k·(k − 1)), correctly
+    rounded."""
+    count = total = total_sq = 0
+    for values in blocks:
+        count += len(values)
+        total += sum(values)
+        total_sq += sum(map(mul, values, values))
+    mean = float(total) / count
+    if count < 2:
+        return mean, 0.0
+    stdev = _sqrt_of_ratio(count * total_sq - total * total, count * (count - 1))
+    return mean, stdev / math.sqrt(count)
 
 
 def _mean_growth(hist: dict[int, int], sigma: int) -> Fraction:
@@ -320,29 +360,26 @@ def expected_growth(
             )
         ]
     rng = new_rng(seed)
-    uniform_vals = [
-        growth_of_symbols(row) for block in _sample_blocks(n, sigma, samples, rng) for row in block.tolist()
-    ]
-    prefix_vals = [
+    uniform = _int_mean_stderr(
+        list(map(growth_of_symbols, block.tolist())) for block in _sample_blocks(n, sigma, samples, rng)
+    )
+    prefix = _mean_stderr([
         sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1)) / sigma
         for block in _sample_blocks(n - 1, sigma, samples, rng)
         for tail in block.tolist()
-    ]
-    rows = []
-    for regime, vals in (("uniform", uniform_vals), ("prefix", prefix_vals)):
-        mean, stderr = _mean_stderr(vals)
-        rows.append(
-            ExpectationRow(
-                sigma=sigma,
-                n=n,
-                mode="montecarlo",
-                regime=regime,
-                samples=samples,
-                mean=mean,
-                stderr=stderr,
-            )
+    ])
+    return [
+        ExpectationRow(
+            sigma=sigma,
+            n=n,
+            mode="montecarlo",
+            regime=regime,
+            samples=samples,
+            mean=mean,
+            stderr=stderr,
         )
-    return rows
+        for regime, (mean, stderr) in (("uniform", uniform), ("prefix", prefix))
+    ]
 
 
 def _exact_expected_sizes(n_max: int, sigma: int) -> list[Fraction]:
@@ -382,8 +419,10 @@ def expected_size(
     """Mean simple-tree node count for each n in n_list, with mean/n^2.
 
     Monte Carlo samples come from _sample_blocks, and each block is
-    counted by one trees.simple_tree_sizes call: no tree is built.
-    Exhaustive means come from one counting pass up to the largest n.
+    counted by one trees.simple_tree_sizes call: no tree is built. Only
+    the count, sum and sum of squares of the sizes are kept, so memory
+    does not grow with samples. Exhaustive means come from one counting
+    pass up to the largest n.
     """
     _check_sampling(sigma, mode, samples, max(n_list, default=0))
     if not n_list:
@@ -412,10 +451,9 @@ def expected_size(
     rows = []
     rng = new_rng(seed)
     for n in n_list:
-        vals = []
-        for block in _sample_blocks(n, sigma, samples, rng):
-            vals += trees.simple_tree_sizes(block).tolist()
-        mean, stderr = _mean_stderr(vals)
+        mean, stderr = _int_mean_stderr(
+            trees.simple_tree_sizes(block).tolist() for block in _sample_blocks(n, sigma, samples, rng)
+        )
         rows.append(
             SizeRow(
                 sigma=sigma,

@@ -378,11 +378,16 @@ def simple_tree_sizes(block: np.ndarray) -> np.ndarray:
     qkey, q, digit = _packed_keys(block)
     n = qkey.shape[1] - 1
     ordered = np.sort(qkey[:, :n], axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        del ordered  # dead, and the kernel sets the peak at large n
+    diff = ordered[:, :-1] ^ ordered[:, 1:]
+    if diff.all():
+        # _leading_equal_digits without its clamps: every xor is at least 1,
+        # so its exponent is at least 1 and its corrected bit length too
+        bits = np.frexp(diff)[1]
+        bits -= diff >> (bits - 1) == 0
+        lcp = (q * digit - bits) // digit
+    else:  # two keys tie
+        del ordered, diff  # dead, and the kernel sets the peak at large n
         lcp = _sorted_suffixes(qkey, q, digit)[1]
-    else:
-        lcp = _leading_equal_digits(ordered[:, :-1] ^ ordered[:, 1:], q, digit)
     return n * (n + 1) // 2 - lcp.sum(axis=1) + n + 1
 
 

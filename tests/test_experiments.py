@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from suffixlab import cli, counting, trees
 from suffixlab.experiments import (
     CHECKS,
+    _int_mean_stderr,
+    _sqrt_of_ratio,
     exact_expected_growth,
     exact_expected_size,
     expected_growth,
@@ -219,7 +222,70 @@ def test_expected_size_blocks_count_what_per_sample_draws_count():
     rng = new_rng(4)
     counts = [trees.simple_tree_size(random_string(1000, 3, rng)) for _ in range(20)]
     assert rows[0].mean == statistics.fmean(counts)
-    assert rows[0].stderr == statistics.stdev(counts) / math.sqrt(20)
+    assert rows[0].stderr == nearest_sqrt(sample_variance(counts)) / math.sqrt(20)
+
+
+def sample_variance(values) -> Fraction:
+    mean = Fraction(sum(values), len(values))
+    return sum((x - mean) ** 2 for x in values) / (len(values) - 1)
+
+
+def midpoints(r: float) -> tuple[Fraction, Fraction]:
+    """The midpoints between r ≥ 0 and the floats next to it: the reals
+    that round to r lie between them."""
+    below, above = math.nextafter(r, 0), math.nextafter(r, math.inf)
+    return (Fraction(below) + Fraction(r)) / 2, (Fraction(r) + Fraction(above)) / 2
+
+
+def nearest_sqrt(x: Fraction) -> float:
+    """The float nearest √x, searched from math.sqrt's guess, which rounds
+    twice, to the float whose midpoints bracket √x."""
+    r = math.sqrt(x)
+    while True:
+        low, high = midpoints(r)
+        if low * low > x:
+            r = math.nextafter(r, 0)
+        elif high * high < x:
+            r = math.nextafter(r, math.inf)
+        else:
+            return r
+
+
+int_samples = st.lists(
+    st.one_of(st.integers(0, 50), st.integers(0, 5 * 10**13)), min_size=1, max_size=300
+)
+
+
+def in_blocks(values, cuts):
+    """values cut into consecutive lists at the positions in cuts."""
+    edges = sorted({0, len(values), *(cut % (len(values) + 1) for cut in cuts)})
+    return [values[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11")
+@given(int_samples, st.lists(st.integers(0, 300), max_size=5))
+def test_running_moments_equal_the_statistics_module(values, cuts):
+    mean, stderr = _int_mean_stderr(in_blocks(values, cuts))
+    assert mean == statistics.fmean(values)
+    if len(values) == 1:
+        assert stderr == 0.0
+    else:
+        assert stderr == statistics.stdev(values) / math.sqrt(len(values))
+
+
+@given(int_samples, st.lists(st.integers(0, 300), max_size=5))
+def test_running_moments_round_the_exact_variance_once(values, cuts):
+    mean, stderr = _int_mean_stderr(in_blocks(values, cuts))
+    assert mean == math.fsum(values) / len(values)
+    if len(values) > 1:
+        assert stderr == nearest_sqrt(sample_variance(values)) / math.sqrt(len(values))
+
+
+@given(st.integers(0, 10**40), st.integers(1, 10**40))
+def test_sqrt_of_ratio_is_the_nearest_float(n, m):
+    root = _sqrt_of_ratio(n, m)
+    low, high = midpoints(root)
+    assert low * low <= Fraction(n, m) <= high * high
 
 
 def test_expected_size_requires_ascending_lengths():

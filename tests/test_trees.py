@@ -438,6 +438,22 @@ def test_a_tied_row_sends_its_block_through_the_kernel_once(monkeypatch):
     assert calls == ["_packed_keys", "_sorted_suffixes"]
 
 
+def test_one_symbol_rows_pass_the_tie_test(monkeypatch):
+    """An (r, 1) block has no adjacent pair, so no xor and no tie: each row
+    is a root, one internal node and a leaf."""
+    block = np.array([[1], [2], [26], [1]])
+    monkeypatch.setattr(trees, "_sorted_suffixes", refuse)
+    sizes = trees.simple_tree_sizes(block).tolist()
+    assert sizes == [3] * 4
+    assert sizes == [simple_tree_size(make_string(row, Alphabet(26))) for row in block.tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_a_block_of_no_rows_has_no_sizes(n):
+    sizes = trees.simple_tree_sizes(np.ones((0, n), dtype=np.int64))
+    assert sizes.shape == (0,)
+
+
 def test_suffix_arrays_of_a_tie_free_block_build_no_rank_table(monkeypatch):
     block = tie_free_block()
     sa, lcp = trees.suffix_arrays(block)
