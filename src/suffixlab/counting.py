@@ -198,8 +198,8 @@ def growth_histogram(n: int, sigma: int) -> dict[int, int]:
 #: --n-list 64,128` 1.33 s and 23.9 MB; at n = 64, about 0.05 s. The
 #: cost follows the number of period sets below length n/2, which grows
 #: faster than any power of n (OEIS A005434), and their series. With the
-#: cap lifted, n = 192 took 23 s and 86 MB, and n = 256 took 128 s and
-#: 342 MB, the populations to length 127 setting the peak.
+#: cap lifted, n = 192 took 10.1 s and 87.7 MB, and n = 256 took 60.5 s
+#: and 349.5 MB, the populations to length 127 setting the peak.
 MAX_EXACT_N = 128
 
 

@@ -8,11 +8,10 @@ platform; Monte Carlo commands are therefore byte-reproducible. numpy is
 imported by new_rng, so commands that never sample do not load it.
 
 Table rows are NamedTuples, and a table's columns are its row type's
-_fields. json, statistics and fractions are imported by the functions
-that use them (rows_to_json, the means of expect-growth's "prefix"
-regime and the exact means), so a command loads each only when it writes
-JSON, samples that regime or computes an exact mean. The means of int
-samples come from exact running sums and load none of them.
+_fields. json and fractions are imported by the functions that use them
+(rows_to_json and the exact means), so a command loads each only when it
+writes JSON or computes an exact mean. Every Monte Carlo mean comes from
+exact running int sums and loads neither.
 """
 
 from __future__ import annotations
@@ -73,10 +72,10 @@ def _check_sigma(sigma: int) -> None:
 #: above before the first draw. Measured as fresh processes (2-CPU Xeon,
 #: Python 3.11.7, numpy 2.4.6): `expect-size --samples 1` takes about 76 B
 #: of peak RSS per symbol, 732 MB at 10^7 symbols, and `expect-growth --n
-#: 10000000 --samples 1` 264 MB. expect-size keeps no value per sample:
-#: `expect-size --n-list 64 --samples 10000000` peaks at 35 MB in 16 s.
-#: expect-growth's "prefix" regime keeps each sample's value, about 38 B:
-#: `expect-growth --n 2 --samples 10000000` peaks at 418 MB in 26 s.
+#: 10000000 --samples 1` 264 MB. No command keeps a value per sample, so
+#: the samples cap bounds time: `expect-size --n-list 64 --samples
+#: 10000000` peaks at 35 MB in 16 s, `expect-growth --n 2 --samples
+#: 10000000` at 35 MB in 21-25 s.
 MAX_SAMPLED_LENGTH = 10_000_000
 MAX_SAMPLES = 10_000_000
 
@@ -266,16 +265,6 @@ def growth_count_table(n: int, sigma: int) -> list[GrowthCountRow]:
     return rows
 
 
-def _mean_stderr(values) -> tuple[float, float]:
-    """Mean and standard error of the mean of float values."""
-    import statistics
-
-    mean = statistics.fmean(values)
-    if len(values) < 2:
-        return mean, 0.0
-    return mean, statistics.stdev(values) / math.sqrt(len(values))
-
-
 def _sqrt_of_ratio(n: int, m: int) -> float:
     """The float nearest √(n/m), for ints n ≥ 0 and m ≥ 1, as Python 3.11's
     statistics.stdev rounds it. n/m is scaled by a power of 4 so that its
@@ -293,12 +282,12 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
 
 
 def _int_mean_stderr(blocks: Iterable[list[int]]) -> tuple[float, float]:
-    """_mean_stderr of the ints in the lists blocks yields, from their
-    count k, sum and sum of squares, kept exact; no list of every value is
-    kept. For values below 2**53 the mean is statistics.fmean's, and the
-    standard error is Python 3.11's statistics.stdev over √k: the root of
-    the exact sample variance (k·Σx² − (Σx)²) / (k·(k − 1)), correctly
-    rounded."""
+    """Mean and standard error of the mean of the ints in the lists blocks
+    yields, from their count k, sum and sum of squares, kept exact; no list
+    of every value is kept. For values below 2**53 the mean is
+    statistics.fmean's, and the standard error is Python 3.11's
+    statistics.stdev over √k: the root of the exact sample variance
+    (k·Σx² − (Σx)²) / (k·(k − 1)), correctly rounded."""
     count = total = total_sq = 0
     for values in blocks:
         count += len(values)
@@ -309,6 +298,15 @@ def _int_mean_stderr(blocks: Iterable[list[int]]) -> tuple[float, float]:
         return mean, 0.0
     stdev = _sqrt_of_ratio(count * total_sq - total * total, count * (count - 1))
     return mean, stdev / math.sqrt(count)
+
+
+def _quotient_mean_stderr(sigma: int, blocks: Iterable[list[int]]) -> tuple[float, float]:
+    """statistics.fmean, and Python 3.11's statistics.stdev over √k, of the k
+    floats v = x / sigma for the ints x ≥ sigma in the lists blocks yields:
+    v ≥ 1 makes v·2**52 an exact int, and scaling by 2**52 commutes with
+    rounding, so _int_mean_stderr of those ints, scaled back, gives both."""
+    mean, stderr = _int_mean_stderr([int(x / sigma * 2**52) for x in values] for values in blocks)
+    return mean / 2**52, stderr / 2**52
 
 
 def _mean_growth(hist: dict[int, int], sigma: int) -> Fraction:
@@ -363,11 +361,11 @@ def expected_growth(
     uniform = _int_mean_stderr(
         list(map(growth_of_symbols, block.tolist())) for block in _sample_blocks(n, sigma, samples, rng)
     )
-    prefix = _mean_stderr([
-        sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1)) / sigma
-        for block in _sample_blocks(n - 1, sigma, samples, rng)
-        for tail in block.tolist()
-    ])
+    prefix = _quotient_mean_stderr(
+        sigma,
+        ([sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1)) for tail in block.tolist()]
+         for block in _sample_blocks(n - 1, sigma, samples, rng)),
+    )
     return [
         ExpectationRow(
             sigma=sigma,

@@ -230,9 +230,9 @@ def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
     ]
     exact = "expect-size --mode exhaustive --n-list 1,2,4,8"
     as_json = "omega --n 8 --format json"
-    # last, the one command here that samples
-    sampling = "expect-size --n-list 8 --samples 5"
-    commands = [*quiet, exact, as_json, sampling]
+    # last, the commands here that sample
+    sampling = ["expect-size --n-list 8 --samples 5", "expect-growth --n 8 --samples 5"]
+    commands = [*quiet, exact, as_json, *sampling]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *commands],
         env=env_with_src(), capture_output=True, text=True, check=True, timeout=120,
@@ -243,16 +243,17 @@ def test_commands_that_never_sample_load_neither_numpy_nor_the_process_pool():
     for (label, _), now in zip(report[: 1 + len(quiet)], loaded):
         assert now == set(), label
     # exact means are Fractions, and fractions imports decimal
-    assert loaded[-3] in ({"fractions"}, {"fractions", "decimal"})
-    assert loaded[-2] - loaded[-3] == {"json"}
+    assert loaded[-4] in ({"fractions"}, {"fractions", "decimal"})
+    assert loaded[-3] - loaded[-4] == {"json"}
     # numpy itself imports inspect
     numpy_own = subprocess.run(
         [sys.executable, "-c", f"import sys, numpy; print(*(m for m in {LAZY!r} if m in sys.modules))"],
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
-    # the sampled means come from exact running sums, not statistics
-    assert "statistics" not in loaded[-1]
-    assert {"numpy"} <= loaded[-1] - loaded[-2] <= set(numpy_own)
+    # every sampled mean comes from exact running sums, not statistics
+    assert not any("statistics" in now for now in loaded)
+    assert {"numpy"} <= loaded[-2] - loaded[-3] <= set(numpy_own)
+    assert loaded[-1] == loaded[-2]
 
 
 #: Every subcommand's options: the shared flags of cli.FLAGS it takes, then its own.
@@ -592,6 +593,12 @@ EXPECT_GROWTH_SEED9 = ["expect-growth", "--sigma", "2", "--n", "32", "--samples"
         # one sort; each n = 100000 row shares 31 symbols between some
         # suffixes (13 pairs in all) and goes through the whole kernel
         (["expect-size", "--n-list", "2048,100000", "--samples", "4", "--seed", "1"], "expect_size_seed1_long.csv"),
+        # at sigma = 3 and 7 the "prefix" regime's values x / sigma are
+        # rounded, so a mean of the exact quotients would move these bytes
+        (["expect-growth", "--sigma", "3", "--n", "40", "--samples", "200", "--seed", "4"],
+         "expect_growth_sigma3_seed4.csv"),
+        (["expect-growth", "--sigma", "7", "--n", "64", "--samples", "50", "--seed", "2", "--format", "json"],
+         "expect_growth_sigma7_seed2.json"),
     ],
 )
 def test_expect_size_output_matches_golden_bytes(args, golden, capsys):

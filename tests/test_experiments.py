@@ -12,6 +12,7 @@ from suffixlab import cli, counting, trees
 from suffixlab.experiments import (
     CHECKS,
     _int_mean_stderr,
+    _quotient_mean_stderr,
     _sqrt_of_ratio,
     exact_expected_growth,
     exact_expected_size,
@@ -279,6 +280,40 @@ def test_running_moments_round_the_exact_variance_once(values, cuts):
     assert mean == math.fsum(values) / len(values)
     if len(values) > 1:
         assert stderr == nearest_sqrt(sample_variance(values)) / math.sqrt(len(values))
+
+
+#: (sigma, ints x >= sigma): the prefix regime's numerators, up to sigma·10^7
+quotient_samples = st.integers(2, 26).flatmap(
+    lambda sigma: st.tuples(
+        st.just(sigma),
+        st.lists(
+            st.one_of(st.integers(sigma, 3 * sigma), st.integers(sigma, sigma * 10**7)), min_size=1, max_size=300
+        ),
+    )
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before 3.11")
+@given(quotient_samples, st.lists(st.integers(0, 300), max_size=5))
+def test_quotient_moments_equal_the_statistics_module_over_the_floats(sample, cuts):
+    sigma, values = sample
+    floats = [x / sigma for x in values]
+    mean, stderr = _quotient_mean_stderr(sigma, in_blocks(values, cuts))
+    assert mean == statistics.fmean(floats)
+    if len(values) == 1:
+        assert stderr == 0.0
+    else:
+        assert stderr == statistics.stdev(floats) / math.sqrt(len(values))
+
+
+@given(quotient_samples, st.lists(st.integers(0, 300), max_size=5))
+def test_quotient_moments_round_the_exact_variance_of_the_floats_once(sample, cuts):
+    sigma, values = sample
+    floats = [x / sigma for x in values]
+    mean, stderr = _quotient_mean_stderr(sigma, in_blocks(values, cuts))
+    assert mean == math.fsum(floats) / len(floats)
+    if len(values) > 1:
+        assert stderr == nearest_sqrt(sample_variance(list(map(Fraction, floats)))) / math.sqrt(len(values))
 
 
 @given(st.integers(0, 10**40), st.integers(1, 10**40))
