@@ -179,7 +179,9 @@ class CompactSuffixTree(TreeBase):
 
 
 #: strings of at most this many symbols are sorted by whole suffixes in
-#: pure Python; longer ones go through the numpy kernel
+#: pure Python; longer ones go through the numpy kernel, which one-row
+#: timings (2-CPU Xeon) put even with Python at n ≈ 48-64 for σ = 2 and
+#: 64-80 for σ = 4; the window also picks the test texts that reach it
 _SA_WINDOW = 16
 
 
@@ -202,8 +204,8 @@ def _leading_equal_digits(diff: np.ndarray, q: int, digit: int) -> np.ndarray:
 
 def _packed_keys(block: np.ndarray) -> tuple[np.ndarray, int, int]:
     """The checks and the packing of suffix_arrays, run once per block by
-    either entry point: the q-keys of every suffix, with the all-pad key
-    in a column past the end, then q and the bits of one digit."""
+    either entry point: the q-keys of every suffix, with one led by the
+    terminator digit past the end, then q and the bits of one digit."""
     import numpy as np
 
     if block.ndim != 2:
@@ -211,32 +213,27 @@ def _packed_keys(block: np.ndarray) -> tuple[np.ndarray, int, int]:
     rows, n = block.shape
     if n < 1:
         raise ValueError("cannot sort the suffixes of empty strings")
-    if (block < 1).any():
+    if block.min(initial=1) < 1:
         raise ValueError("symbols must be at least 1")
     top = int(block.max(initial=0)) + 1
     if top > 2**63 - 1:
         raise ValueError("symbols must be below 2**63 - 1, the largest int64")
     digit = top.bit_length()
     wide = 63 // digit  # digits in the widest key
-    qkey = np.full((rows, n + 1), top, dtype=np.int64)
+    qkey = np.empty((rows, n + 1), dtype=np.int64)
     qkey[:, :n] = block
-    pad = top  # key of q past-the-end digits
+    qkey[:, n] = top
     q = 1
     while q < wide:
         extra = min(q, wide - q)  # digits the key gains
         drop = (q - extra) * digit  # bits of the next q digits that do not fit
         longer = qkey << extra * digit
-        cut = max(n + 1 - q, 0)  # the next q digits start inside the table before cut
-        tail = longer[:, cut:] | pad >> drop
         if drop:
             qkey >>= drop  # in place: qkey is dead once or-ed into longer
-        # one or over the rows laid end to end, which runs about twice as
-        # fast as a strided one; the columns from cut read the next row, so
-        # they take the tail instead
+        # one or over the rows laid end to end runs about twice as fast as
+        # a strided one; the digits it reads after a terminator decide nothing
         longer.ravel()[:-q] |= qkey.ravel()[q:]
-        longer[:, cut:] = tail
         qkey = longer
-        pad = pad << extra * digit | pad >> drop
         q += extra
     return qkey, q, digit
 
@@ -249,16 +246,17 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2-D, has no columns, holds a symbol below 1 or one of 2**63 - 1 or
     more, whose terminator digit would not fit in int64.
 
-    The digit top = largest symbol + 1 stands for the terminator and for
-    every position past the end, so blocks of symbols order as their
-    digit strings. Packing (Larsson & Sadakane, 2007): the key of the
-    first m + e symbols of a suffix, e ≤ m, is the key of its first m
-    shifted left by e digits, or-ed with the key of the m symbols after
-    them shifted right by m - e digits. So the keys of the first 1, 2, 4,
-    ... symbols take no sort, and a last step widens the key to q
-    symbols, the most whose q-digit key fits in 63 bits: 31 for σ ≤ 2,
-    21 for σ = 3 to 6, 15 for σ = 7, 12 for σ = 26 (1 when two digits do
-    not fit).
+    The digit top = largest symbol + 1 is the terminator digit, and the
+    digits after it never decide an order or an LCP: of suffixes i < j of
+    a row, j has top at digit n - j where i has a symbol, and the key past
+    the end starts with top where each suffix's starts with a symbol. The
+    packing (Larsson & Sadakane, 2007) runs over the rows laid end to end:
+    the key of m + e digits, e ≤ m, is the key of the first m shifted left
+    by e digits, or-ed with the key of the m after them (0 past the last
+    row) shifted right by m - e. So the keys of 1, 2, 4, ... symbols take
+    no sort, and a last step widens them to q, the most whose key fits in
+    63 bits: 31 for σ ≤ 2, 21 for σ = 3 to 6, 15 for σ = 7, 12 for σ = 26
+    (1 when two digits do not fit).
 
     One sort of each row by its q-keys follows. A sorted sequence does
     not depend on how ties were broken, so these are the q-keys in the
@@ -278,8 +276,8 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (binary lifting over the rounds' rank tables: a block extends a match
     when it has the same rank at both suffixes), and their last step
     below q is read off the q-keys at the lifted offsets. Each table has a
-    column past the end, the all-pad key or a rank of -1, which no suffix
-    inside the string matches.
+    column past the end, a key that starts with top or a rank of -1, which
+    no suffix inside the string matches.
     """
     return _sorted_suffixes(*_packed_keys(block))
 

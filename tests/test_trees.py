@@ -323,6 +323,33 @@ def test_kernel_with_symbols_too_wide_to_pack():
             assert size == distinct_substrings_by_automaton(tuple(row)) + n + 1
 
 
+@pytest.mark.parametrize("sigma", [1, 2, 3, 26, 2**40])
+def test_rows_sort_as_alone_whatever_row_follows(sigma):
+    """The keys are packed over the rows laid end to end, so a key's digits
+    after its terminator come from the next row, or are 0 past the last.
+    Each row sits before a copy of itself, a row of the largest symbol and
+    a row of 1s; rows of 1 to 2q + 2 symbols put windows shorter than q
+    through the next row and its terminator. σ = 2**40 makes q = 1."""
+    q = 63 // (sigma + 1).bit_length()
+    rng = np.random.Generator(np.random.PCG64(q + sigma))
+    for n in range(1, 2 * q + 3):
+        tops, ones = np.full(n, sigma), np.ones(n, dtype=np.int64)
+        bases = [*rng.integers(1, sigma + 1, size=(2, n)), np.resize(rng.integers(1, sigma + 1, size=2), n), tops, ones]
+        block = np.array([row for base in bases for neighbour in (base, tops, ones) for row in (base, neighbour)])
+        expected = [suffixes_by_python_sort(row) for row in block.tolist()]
+        sizes = [n * (n + 1) // 2 - sum(lcp) + n + 1 for _, lcp in expected]
+        # each row alone first: a wrong terminator digit can tie keys of
+        # distinct suffixes in the block, which the doubling rounds assume
+        # never happens below q symbols
+        for r in range(len(block)):
+            sa, lcp = trees.suffix_arrays(block[r : r + 1])
+            assert (sa[0].tolist(), lcp[0].tolist()) == expected[r], (n, r)
+            assert trees.simple_tree_sizes(block[r : r + 1])[0] == sizes[r], (n, r)
+        sa, lcp = trees.suffix_arrays(block)
+        assert [*zip(sa.tolist(), lcp.tolist())] == expected, n
+        assert trees.simple_tree_sizes(block).tolist() == sizes, n
+
+
 def pack_width_rows(sigma, q, rng):
     """Rows of 4q + 2 symbols in which adjacent sorted suffixes share q - 1,
     q, q + 1, 2q - 1 and 2q symbols, with uniform rows beside them. Row
