@@ -342,7 +342,7 @@ def _growth_counts_from(n_min: int, n_max: int, sigma: int) -> list[dict[int, in
     pops = period_set_populations((n_max - 1) // 2, sigma)
     # unique[n - n_min][length] = N(length) for strings of length n; the
     # bound sums give it from length ceil(n/2) up, and the series below it
-    sums = [0]  # sums[j] = S(j + 1)
+    sums = [0]  # sums[j] = S(j + 1); not summed from growth_bounds, which refuses σ = 1
     for j in range(1, n_max // 2 + 1):
         sums.append(sigma * sums[-1] + count_aperiodic(j, sigma))
     unique = [

@@ -144,6 +144,10 @@ class CompactSuffixTree(TreeBase):
     suffix_array lists the leaf numbers in left-to-right order (children
     in symbol order, terminator last), and interval[v] is the half-open
     range (lo, hi) of suffix_array that holds exactly the leaves below v.
+    Any occurrence of an edge's text would serve as its span; both
+    builders take the one in the leftmost suffix below the edge, so
+    span[v] starts at suffix_array[interval[v][0]] plus the parent's
+    string depth (symbols from the root, the terminator not counted).
     children[v] maps an edge's first symbol to the child node id, in
     symbol order with the terminator last: both builders insert them so.
     """
@@ -270,14 +274,14 @@ def suffix_arrays(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the next key is the pair (rank[i], rank[i + k]), a block past the end
     ranking above every rank, sorted in turn. The pair key's multiplier
     comes from the largest rank, so keys never collide. Stops once every
-    row's keys differ. The sorts need not be stable: ranks depend only on
-    key values, and the last round's keys all differ, so they alone fix
-    the order. Only the pairs whose q-keys are equal are lifted further
-    (binary lifting over the rounds' rank tables: a block extends a match
-    when it has the same rank at both suffixes), and their last step
-    below q is read off the q-keys at the lifted offsets. Each table has a
-    column past the end, a key that starts with top or a rank of -1, which
-    no suffix inside the string matches.
+    row's keys differ, at the latest once k ≥ n. The sorts need not be
+    stable: ranks depend only on key values, and the last round's keys all
+    differ, so they alone fix the order. Only the pairs whose q-keys are
+    equal are lifted further (binary lifting over the rounds' rank tables:
+    a block extends a match when it has the same rank at both suffixes),
+    and their last step below q is read off the q-keys at the lifted
+    offsets. Each table has a column past the end, a key that starts with
+    top or a rank of -1, which no suffix inside the string matches.
     """
     return _sorted_suffixes(*_packed_keys(block))
 
@@ -297,7 +301,9 @@ def _sorted_suffixes(qkey: np.ndarray, q: int, digit: int) -> tuple[np.ndarray, 
         return sa, lcp
     tables = []  # ranks of the first q, 2q, ... symbols, each with a column past the end
     k = q
-    while True:
+    # once k ≥ n the keys just sorted reach every suffix's terminator but
+    # the whole row's, the one suffix of n symbols, so that sort is final
+    while k < n:
         sorted_rank = np.zeros((rows, n), dtype=np.int64)
         np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=sorted_rank[:, 1:])
         if (sorted_rank[:, -1] == n - 1).all():
@@ -307,7 +313,7 @@ def _sorted_suffixes(qkey: np.ndarray, q: int, digit: int) -> tuple[np.ndarray, 
         np.put_along_axis(rank, sa, sorted_rank, axis=1)
         above = int(sorted_rank[:, -1].max()) + 1  # the terminator
         key = rank * (above + 1)
-        key[:, : n - k] += rank[:, k:]  # k < n: ranks of longer blocks all differ
+        key[:, : n - k] += rank[:, k:]
         key[:, n - k :] += above
         k *= 2
         sa = np.argsort(key, axis=1)
@@ -394,21 +400,14 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
 
     One stack pass over the suffix array places the leaves and creates an
     internal node at every LCP depth where suffixes branch, giving each
-    node its string depth, its leaf interval, its children in symbol order
-    and the smallest suffix start below it. The tree is then laid out from
-    the root in compact_tree_via_simple's own order: each node taken off a
-    stack, last pushed first, hands consecutive ids to all its children in
-    symbol order and pushes the internal ones. An edge span starts at the
-    smallest suffix start below it plus the parent's depth. Never builds
-    the simple tree. suffix_arrays packs the first q symbols of each
-    suffix into the widest int64 key (31 for σ ≤ 2, 21 for σ = 3 to 6)
-    and sorts them once, in O(n log n); a text with no repeat of q symbols
-    is then done and builds no rank table. Each doubling of the longest
-    repeat beyond q symbols adds a round: one rank table of n entries and
-    one more sort. Its LCPs cost O(n) elementwise work, a fixed number of
-    steps per pair, plus one gather per round for each adjacent pair that
-    shares q symbols. The stack pass and the layout are linear but run in
-    pure Python.
+    node its string depth, its leaf interval and its children in symbol
+    order. The tree is then laid out from the root in
+    compact_tree_via_simple's own order: each node taken off a stack, last
+    pushed first, hands consecutive ids to all its children in symbol
+    order and pushes the internal ones. A span starts at sa[lo], the
+    leftmost suffix of the child's interval. Never builds the simple tree.
+    The sort and its cost are suffix_arrays'; the stack pass and the
+    layout are linear but run in pure Python.
     """
     n = len(s)
     if n < 1:
@@ -422,7 +421,6 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     depth = [*map(n.__sub__, sa), 0]
     lo = list(range(n)) + [0]
     hi = [n] * (n + 1)  # set as each node closes; the root never does
-    first = sa + [n]  # smallest 0-based suffix start below the node
     kids: list[list[int]] = [[]]  # children of node n + i, in symbol order
     stack = [n]
     for r, h in enumerate(lcp):
@@ -436,12 +434,9 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
                 depth.append(h)
                 lo.append(lo[last])
                 hi.append(r)
-                first.append(first[last])
                 kids.append([last])
             else:
                 kids[top - n].append(last)
-                if first[last] < first[top]:
-                    first[top] = first[last]
         stack.append(r)
 
     tree = CompactSuffixTree(s)
@@ -453,9 +448,9 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
         below = children[u]
         for c in kids[t - n]:
             v = len(children)
-            i = first[c] + depth[t]
-            below[head[i]] = v
-            span.append((i + 1, first[c] + depth[c]))
+            start = sa[lo[c]]
+            below[head[start + depth[t]]] = v
+            span.append((start + depth[t] + 1, start + depth[c]))
             interval.append((lo[c], hi[c]))
             children.append({})
             if c < n:
@@ -470,40 +465,37 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
     """Compress every maximal unary chain of the simple tree into one edge.
 
     The quadratic route, kept as the oracle for build_compact_tree; the
-    suffix array and intervals come from the collapsed tree's own shape.
+    suffix array, the intervals and from them the spans come from the
+    collapsed tree's own shape.
     """
     naive = build_suffix_tree(s)
     symbol, branches = naive.symbol, naive.branches
-    # by SuffixTree's numbering, the smallest suffix number below a node is
-    # that of the insertion that created it, and a node that is neither a
-    # leaf nor in branches has one child, the next id
-    rep = [1]
-    for j, leaf in naive.leaves.items():
-        rep += [j] * (leaf + 1 - len(rep))
+    suffix_of_leaf = {leaf: j for j, leaf in naive.leaves.items()}
 
     tree = CompactSuffixTree(s)
-    children, span, leaves = tree.children, tree.span, tree.leaves
+    children, leaves = tree.children, tree.leaves
     parent = [-1]
-    stack = [(naive.root, tree.root, 0)]  # (simple node, compact node, symbol depth)
+    depth = [0]  # symbols from the root, the terminator not counted
+    stack = [(naive.root, tree.root)]  # (simple node, compact node)
     while stack:
-        nv, cv, depth = stack.pop()
+        nv, cv = stack.pop()
         for sym, node in naive.sorted_children(nv):
+            # a node that is neither a leaf nor in branches has one child,
+            # the next id
             top = node
             while symbol[node] != TERMINATOR and node not in branches:
                 node += 1
             term = symbol[node] == TERMINATOR
-            # edges walked: node - top + 1; the last one is the terminator at a leaf
-            count = node - top + 1 - term
             c = len(children)
             children.append({})
             parent.append(cv)
-            start = rep[node] + depth
-            span.append((start, start + count - 1))
+            # edges walked: node - top + 1; the last one is the terminator at a leaf
+            depth.append(depth[cv] + node - top + 1 - term)
             children[cv][sym] = c
             if term:
-                leaves[rep[node]] = c
+                leaves[suffix_of_leaf[node]] = c
             else:
-                stack.append((node, c, depth + count))
+                stack.append((node, c))
 
     # a node's children have consecutive ids in symbol order, and every
     # parent is numbered before its children: count the leaves below each
@@ -516,9 +508,11 @@ def compact_tree_via_simple(s: Str) -> CompactSuffixTree:
     for v in range(1, nodes):
         lo[v] = lo[parent[v]] if parent[v] != parent[v - 1] else lo[v - 1] + size[v - 1]
     tree.interval = [(i, i + k) for i, k in zip(lo, size)]
-    tree.suffix_array = [0] * len(leaves)
+    sa = tree.suffix_array = [0] * len(leaves)
     for j, leaf in leaves.items():
-        tree.suffix_array[lo[leaf]] = j
+        sa[lo[leaf]] = j
+    # j is 1-based, so suffix j's symbol d + 1 is source symbol j + d
+    tree.span += [(sa[i] + depth[parent[v]], sa[i] + depth[v] - 1) for v, i in enumerate(lo) if v]
     return tree
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +495,27 @@ def test_suffix_arrays_of_a_tie_free_block_build_no_rank_table(monkeypatch):
     assert np.array_equal(got_sa, sa) and np.array_equal(got_lcp, lcp)
 
 
+def test_doubling_ends_once_the_keys_reach_every_terminator(monkeypatch):
+    """Keys that tie two distinct suffixes below q symbols, as a packing
+    defect would make them, must not keep the doubling loop going: the sort
+    at k ≥ n is the last, whether the call then returns or raises."""
+    qkey = np.array([[1, 2, 3, 3, 9]])  # n = 4, q = 2: suffixes 3 and 4 tie
+    limit = 1 + math.ceil(math.log2(4 / 2))
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        if len(sorts) > limit:
+            pytest.fail(f"more than {limit} sorts")
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    with contextlib.suppress(Exception):  # pytest.fail's exception is no Exception
+        trees._sorted_suffixes(qkey, 2, 4)
+    assert len(sorts) <= limit
+
+
 def test_simple_tree_size_above_the_window_lists_no_suffix_array(monkeypatch):
     s = make_string(np.random.Generator(np.random.PCG64(2)).integers(1, 3, size=300).tolist(), Alphabet(2))
     expected = size_by_automaton(s)
@@ -645,6 +669,18 @@ def test_compact_invariants_exhaustive_binary():
             assert_leaf_paths(tree)
             for built in (tree, compact_tree_via_simple(s)):
                 assert_children_in_symbol_order(built)
+                assert_spans_start_at_the_leftmost_suffix(built)
+
+
+def assert_spans_start_at_the_leftmost_suffix(tree):
+    """The span rule both builders meet: span[v] starts at the suffix at the
+    left end of v's interval, plus the parent's depth. Parents are numbered
+    before their children, so each parent's depth is known when it is read."""
+    depth = [0] * tree.node_count
+    for u, below in enumerate(tree.children):
+        for v in below.values():
+            depth[v] = depth[u] + len(tree.edge_symbols(v))
+            assert tree.span[v][0] == tree.suffix_array[tree.interval[v][0]] + depth[u], (str(tree.source), v)
 
 
 def assert_intervals_hold_subtree_leaves(tree):
@@ -715,6 +751,7 @@ def test_compact_tree_of_a_long_text():
     tree = build_compact_tree(s)
     assert tree.leaf_count == n
     assert tree.node_count <= 2 * n
+    assert_spans_start_at_the_leftmost_suffix(tree)
     for start, length in ((1, 1), (500, 6), (19_990, 11), (7_000, 30)):
         pattern = s.sub(start, start + length - 1)
         assert find_occurrences(tree, pattern) == scan_occurrences(s, pattern)
