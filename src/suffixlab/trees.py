@@ -183,9 +183,9 @@ class CompactSuffixTree(TreeBase):
 
 
 #: strings of at most this many symbols are sorted by whole suffixes in
-#: pure Python; longer ones go through the numpy kernel, which one-row
-#: timings (2-CPU Xeon) put even with Python at n ≈ 48-64 for σ = 2 and
-#: 64-80 for σ = 4; the window also picks the test texts that reach it
+#: pure Python, longer ones by the numpy kernel; only _sa_lcp reads it.
+#: One-row timings (2-CPU Xeon) put the two even at n ≈ 48-64 for σ = 2
+#: and 64-80 for σ = 4; the window also picks the test texts that reach it
 _SA_WINDOW = 16
 
 
@@ -318,6 +318,9 @@ def _sorted_suffixes(qkey: np.ndarray, q: int, digit: int) -> tuple[np.ndarray, 
         k *= 2
         sa = np.argsort(key, axis=1)
         ordered = np.take_along_axis(key, sa, axis=1)
+    else:  # no round broke off, so the last sort reached k ≥ n: no key may tie
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise RuntimeError(f"suffix keys still tie after sorting {k} of {n} symbols; the packed keys are wrong")
 
     del key, ordered, sorted_rank  # dead, and the gathers below set the peak at large n
     left = pair // n * (n + 1)  # where the pair's row starts in a table
@@ -334,8 +337,11 @@ def _sorted_suffixes(qkey: np.ndarray, q: int, digit: int) -> tuple[np.ndarray, 
 
 
 def _sa_lcp(syms: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Suffix array and LCP array of one string, as suffix_arrays gives them."""
+    """Suffix array and LCP array of one string, as suffix_arrays gives
+    them; raises ValueError for the empty string, which has no tree."""
     n = len(syms)
+    if n < 1:
+        raise ValueError("cannot build a suffix tree for the empty string")
     if n > _SA_WINDOW:
         import numpy as np
 
@@ -360,12 +366,6 @@ def simple_tree_size(s: Str) -> int:
     In sorted order each suffix adds the prefixes it does not share with
     the one before, so those number C(n+1, 2) minus the LCP sum."""
     n = len(s)
-    if n < 1:
-        raise ValueError("cannot build a suffix tree for the empty string")
-    if n > _SA_WINDOW:
-        import numpy as np
-
-        return int(simple_tree_sizes(np.array([s.symbols]))[0])
     return n * (n + 1) // 2 - sum(_sa_lcp(s.symbols)[1]) + n + 1
 
 
@@ -409,11 +409,9 @@ def build_compact_tree(s: Str) -> CompactSuffixTree:
     The sort and its cost are suffix_arrays'; the stack pass and the
     layout are linear but run in pure Python.
     """
-    n = len(s)
-    if n < 1:
-        raise ValueError("cannot build a suffix tree for the empty string")
     syms = s.symbols
     sa, lcp = _sa_lcp(syms)
+    n = len(syms)
     lcp.append(0)  # closes every node but the root
 
     # scaffold: ids 0..n-1 are the leaves in suffix-array order, id n is

@@ -314,6 +314,7 @@ def test_flag_the_command_does_not_read_exits_2(args, capsys):
         (["expect-size", "--mode", "exhaustive", "--n-list=-1"], "length must be at least 1, got -1"),
         (["expect-growth", "--n", "0"], "length must be at least 1, got 0"),
         (["expect-size", "--n-list", "4", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["expect-size", "--n-list", "4,x"], "bad n-list '4,x', expected comma-separated integers"),
     ],
 )
 def test_refused_value_exits_2(args, message, capsys):
@@ -627,6 +628,13 @@ def test_exact_growth_output_matches_golden_bytes(args, golden, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_verify_writes_its_report_to_out_and_to_stdout(tmp_path, capsys):
+    path = tmp_path / "verify.txt"
+    golden = (GOLDEN / "verify_seed1.txt").read_text()
+    assert run_cli(["verify", "--seed", "1", "--out", str(path)], capsys) == (0, golden, "")
+    assert path.read_text() == golden
 
 
 @pytest.mark.parametrize(

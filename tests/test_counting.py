@@ -66,8 +66,13 @@ def test_prime_power_closed_form_values(p, t, sigma, expected):
 
 
 def test_prime_power_rejects_composite():
-    with pytest.raises(ValueError, match="not prime"):
-        aperiodic_prime_power(6, 1, 2)
+    for p in (6, 0, 1):  # is_prime is False below 2
+        with pytest.raises(ValueError, match="not prime"):
+            aperiodic_prime_power(p, 1, 2)
+    with pytest.raises(ValueError, match="exponent must be at least 1, got 0"):
+        aperiodic_prime_power(2, 0, 2)
+    with pytest.raises(ValueError, match="alphabet size must be at least 1, got 0"):
+        aperiodic_prime_power(2, 1, 0)
 
 
 @pytest.mark.parametrize("k,expected", [(1, 2), (2, 4), (3, 12)])
@@ -78,6 +83,10 @@ def test_growth_bound_small_binary(k, expected):
 def test_growth_bound_needs_two_symbols():
     with pytest.raises(ValueError):
         growth_bound(3, 1)
+    with pytest.raises(ValueError, match="growth must be at least 1, got 0"):
+        growth_bound(0, 2)
+    with pytest.raises(ValueError, match="m must be at least 1, got 0"):
+        growth_bound_prefix_sum(0, 2)
 
 
 @pytest.mark.parametrize("sigma", range(2, 6))
@@ -139,6 +148,8 @@ def test_bruteforce_rejects_what_the_recurrence_rejects(sigma, monkeypatch):
 def test_bruteforce_budget():
     with pytest.raises(EnumerationBudgetError):
         count_aperiodic_bruteforce(30, 2)
+    with pytest.raises(ValueError, match="length must be at least 1, got 0"):
+        count_aperiodic_bruteforce(0, 2)
 
 
 def test_growth_histogram_two_binary():

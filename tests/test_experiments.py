@@ -64,6 +64,8 @@ def test_functions_refuse_the_values_they_read():
         (lambda: exact_expected_size(0, 2), "length must be at least 1, got 0"),
         (lambda: expected_growth(0, 2), "length must be at least 1, got 0"),
         (lambda: expected_growth(4, 2, seed=-1), "seed must be at least 0, got -1"),
+        (lambda: expected_size((), 2), "expected-size needs at least one n"),
+        (lambda: random_string(3, 0, new_rng(1)), "alphabet size must be at least 1, got 0"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -392,6 +394,73 @@ def test_verification_detects_a_wrong_counting_route(monkeypatch):
     failed = {name: detail for name, (ok, detail) in report.items() if not ok}
     assert list(failed) == ["growth-count-bound"]
     assert "(2, 'route', 2)" in failed["growth-count-bound"]
+
+
+def _changed(module, name, change):
+    """module.name with its result passed through change(result, *args)."""
+    real = getattr(module, name)
+    return lambda *args: change(real(*args), *args)
+
+
+def _plus_one(module, name):
+    return [(module, name, _changed(module, name, lambda result, *args: result + 1))]
+
+
+def _both_builders(change):
+    """Both compact builders as the direct one, changed, so the two still
+    compare equal and only the check's own test of the tree fails."""
+    changed = _changed(trees, "build_compact_tree", change)
+    return [(trees, "build_compact_tree", changed), (trees, "compact_tree_via_simple", changed)]
+
+
+def _with_a_unary_node(tree, s):
+    tree.children += [{1: len(tree.children) + 1}, {}]
+    return tree
+
+
+def _padded_past_2n(tree, s):
+    tree.children += [{} for _ in range(2 * len(s))]
+    return tree
+
+
+TREES = {"sizes": ((2, 5),)}
+
+
+@pytest.mark.parametrize(
+    "check,kwargs,patches,fragment",
+    [
+        ("aperiodic-count-bounds", {}, [(counting, "count_aperiodic", lambda j, sigma: sigma**j)], "('upper', 2, 2)"),
+        ("aperiodic-count-bounds", {}, [(counting, "count_aperiodic", lambda j, sigma: 0)], "('lower', 2, 1)"),
+        ("growth-bound-caps", {}, [(counting, "growth_bound", lambda k, sigma: k * sigma**k + 1)], "('cap', 2, 1)"),
+        (
+            "growth-bound-caps",
+            {},
+            [(counting, "growth_bound_prefix_sum", lambda m, sigma: (m + 1) * sigma ** (m + 1) + 1)],
+            "('prefix', 2, 1)",
+        ),
+        ("aperiodic-bruteforce", {"limit": 1 << 6}, _plus_one(counting, "count_aperiodic_bruteforce"), "failures: [(2, 1)"),
+        ("growth-ground-truth", {}, _plus_one(trees, "growth_via_lcp"), "('aabccb', 5, 5, 6)"),
+        ("tree-identities", TREES, _plus_one(trees, "growth_via_tree"), "('growth', 'aa')"),
+        ("tree-identities", TREES, _plus_one(trees, "simple_tree_size"), "('identity', 'aa')"),
+        ("tree-identities", TREES, _both_builders(_with_a_unary_node), "('compact-degree', 'aa')"),
+        ("tree-identities", TREES, _both_builders(_padded_past_2n), "('compact-size', 'aa')"),
+        (
+            "growth-count-bound",
+            {},
+            [(counting, "growth_histogram", _changed(counting, "growth_histogram", lambda h, n, sigma: {**h, n: h[n] + 1}))],
+            "(2, 'partition', 2)",
+        ),
+    ],
+    ids=["upper", "lower", "cap", "prefix", "bruteforce", "ground-truth", "growth", "identity",
+         "compact-degree", "compact-size", "partition"],
+)
+def test_verification_detects_each_failure(check, kwargs, patches, fragment, monkeypatch):
+    # each case breaks one quantity the check reads, at small sizes
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    ok, detail = CHECKS[check](**kwargs)
+    assert ok is False
+    assert fragment in detail, detail
 
 
 def test_verification_detects_a_wrong_compact_tree(monkeypatch):

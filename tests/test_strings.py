@@ -10,6 +10,7 @@ from suffixlab.strings import (
     from_text,
     make_string,
     substring,
+    symbol_char,
     to_text,
 )
 
@@ -21,6 +22,9 @@ def test_codec_encodes_letters():
     assert len(s) == 6
     assert s.symbols == (1, 1, 2, 3, 3, 2)
     assert to_text(s) == "aabccb"
+    # past z a symbol prints as its number, as DOT labels show it
+    assert symbol_char(27) == "<27>"
+    assert str(Str((1, 27), Alphabet(27))) == "a<27>"
 
 
 def test_codec_empty_string():

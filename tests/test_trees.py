@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -56,8 +55,8 @@ def test_reference_string_tree():
 
 
 def test_empty_string_rejected():
-    for build in (build_suffix_tree, build_compact_tree, compact_tree_via_simple):
-        with pytest.raises(ValueError, match="empty string"):
+    for build in (build_suffix_tree, build_compact_tree, compact_tree_via_simple, simple_tree_size):
+        with pytest.raises(ValueError, match="^cannot build a suffix tree for the empty string$"):
             build(from_text("", 2))
 
 
@@ -498,9 +497,7 @@ def test_suffix_arrays_of_a_tie_free_block_build_no_rank_table(monkeypatch):
 def test_doubling_ends_once_the_keys_reach_every_terminator(monkeypatch):
     """Keys that tie two distinct suffixes below q symbols, as a packing
     defect would make them, must not keep the doubling loop going: the sort
-    at k ≥ n is the last, whether the call then returns or raises."""
-    qkey = np.array([[1, 2, 3, 3, 9]])  # n = 4, q = 2: suffixes 3 and 4 tie
-    limit = 1 + math.ceil(math.log2(4 / 2))
+    at k ≥ n is the last, and the ties left after it raise a named error."""
     sorts = []
     argsort = np.argsort
 
@@ -511,17 +508,15 @@ def test_doubling_ends_once_the_keys_reach_every_terminator(monkeypatch):
         return argsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counted)
-    with contextlib.suppress(Exception):  # pytest.fail's exception is no Exception
-        trees._sorted_suffixes(qkey, 2, 4)
-    assert len(sorts) <= limit
-
-
-def test_simple_tree_size_above_the_window_lists_no_suffix_array(monkeypatch):
-    s = make_string(np.random.Generator(np.random.PCG64(2)).integers(1, 3, size=300).tolist(), Alphabet(2))
-    expected = size_by_automaton(s)
-    monkeypatch.setattr(trees, "_sa_lcp", refuse)
-    monkeypatch.setattr(trees, "suffix_arrays", refuse)
-    assert simple_tree_size(s) == expected
+    for qkey, limit in (
+        ([[1, 2, 3, 3, 9]], 1 + math.ceil(math.log2(4 / 2))),  # n = 4, q = 2: suffixes 3 and 4 tie
+        ([[1, 1, 9]], 1),  # n = 2 ≤ q = 2: the keys tie and no round runs
+    ):
+        sorts.clear()
+        n = len(qkey[0]) - 1
+        with pytest.raises(RuntimeError, match=f"still tie after sorting [0-9]+ of {n} symbols; the packed keys are wrong"):
+            trees._sorted_suffixes(np.array(qkey), 2, 4)
+        assert len(sorts) <= limit
 
 
 @given(
@@ -789,6 +784,8 @@ def test_find_occurrences_rejects_bad_patterns():
 
 def test_scan_occurrences_overlapping():
     assert scan_occurrences(from_text("aaaa"), from_text("aa")) == [1, 2, 3]
+    with pytest.raises(ValueError, match="pattern must be nonempty"):
+        scan_occurrences(from_text("aaaa"), from_text("", 2))
 
 
 @given(st.data())
