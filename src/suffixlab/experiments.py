@@ -72,8 +72,9 @@ def _check_sigma(sigma: int) -> None:
 #: above before the first draw. Measured as fresh processes (2-CPU Xeon,
 #: Python 3.11.7, numpy 2.4.6): `expect-size --samples 1` takes about 76 B
 #: of peak RSS per symbol, 732 MB at 10^7 symbols, and `expect-growth --n
-#: 10000000 --samples 1` 264 MB. No command keeps a value per sample, so
-#: the samples cap bounds time: `expect-size --n-list 64 --samples
+#: 10000000 --samples 1` 264 MB. No command keeps a value per sample, and
+#: `expect-growth` makes at most n growth scans per sample whatever sigma,
+#: so the samples cap bounds time: `expect-size --n-list 64 --samples
 #: 10000000` peaks at 35 MB in 16 s, `expect-growth --n 2 --samples
 #: 10000000` at 35 MB in 21-25 s.
 MAX_SAMPLED_LENGTH = 10_000_000
@@ -322,13 +323,22 @@ def exact_expected_growth(n: int, sigma: int) -> Fraction:
     return _mean_growth(counting.growth_counts(n, sigma), sigma)
 
 
+def _prepended_growth_sum(tail: list[int], sigma: int) -> int:
+    """Sum of growth_of_symbols([c, *tail]) over c = 1..sigma, from at most
+    len(tail) scans: a c absent from the tail starts no proper suffix, so
+    its growth is the whole length."""
+    seen = set(tail)
+    return (sigma - len(seen)) * (len(tail) + 1) + sum(growth_of_symbols([c, *tail]) for c in seen)
+
+
 def expected_growth(
     n: int, sigma: int, *,
     mode: str = "montecarlo", samples: int = 1000, seed: int = 1,
 ) -> list[ExpectationRow]:
     """Estimate the mean growth of length-n strings.
 
-    Exhaustive mode enumerates every string and reports the exact mean.
+    Exhaustive mode reports the exact mean, counted by autocorrelation
+    classes (counting.growth_counts) without enumerating any string.
     Monte Carlo mode reports two regimes:
 
     - "uniform": growth of fully uniform strings;
@@ -363,7 +373,7 @@ def expected_growth(
     )
     prefix = _quotient_mean_stderr(
         sigma,
-        ([sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1)) for tail in block.tolist()]
+        ([_prepended_growth_sum(tail, sigma) for tail in block.tolist()]
          for block in _sample_blocks(n - 1, sigma, samples, rng)),
     )
     return [
@@ -471,28 +481,31 @@ def expected_size(
 # ---------------------------------------------------------------------------
 
 
+def _verdict(bad: list[tuple], covered: str) -> tuple[bool, str]:
+    """A check's (ok, detail) from the failures it found, in the order it
+    found them: with none it passed, and the detail says what it covered;
+    otherwise the detail is their number and the first four."""
+    if not bad:
+        return True, covered
+    return False, f"{len(bad)} failure{'s' * (len(bad) > 1)}: {bad[:4]}"
+
+
 def _reference_table() -> tuple[bool, str]:
     """The cells where the reference table disagrees with the recurrence
     are exactly the KNOWN_ERRATA cells, and both errata have the shape
     they are documented to have."""
     mu = counting.count_aperiodic
     table = counting.REFERENCE_APERIODIC_TABLE
-    mismatches = {
-        (sigma, j)
-        for sigma, row in table.items()
-        for j, published in enumerate(row, start=1)
-        if published != mu(j, sigma)
-    }
+    mismatches = [
+        (sigma, j) for sigma, row in table.items() for j, value in enumerate(row, start=1) if value != mu(j, sigma)
+    ]
     errata = set().union(*counting.KNOWN_ERRATA.values())
-    shift_ok = table[2] == tuple(mu(j, 2) for j in (1, 3, 4, 5, 6, 7, 8, 9))
-    digit_ok = table[3][7] * 10 == mu(8, 3)
-    ok = mismatches == errata and shift_ok and digit_ok
-    return ok, (
-        f"{len(mismatches)} mismatching cells, all explained by errata {sorted(counting.KNOWN_ERRATA)}"
-        if ok
-        else f"unexplained mismatches: {sorted(mismatches - errata)}, errata cells that match: "
-        f"{sorted(errata - mismatches)}, errata shapes hold: {shift_ok and digit_ok}"
-    )
+    bad = [("unexplained", *cell) for cell in mismatches if cell not in errata]
+    bad += [("matches", *cell) for cell in sorted(errata.difference(mismatches))]
+    if table[2] != tuple(mu(j, 2) for j in (1, 3, 4, 5, 6, 7, 8, 9)) or table[3][7] * 10 != mu(8, 3):
+        bad.append(("shape",))
+    covered = f"{len(mismatches)} mismatching cells, all explained by errata {sorted(counting.KNOWN_ERRATA)}"
+    return _verdict(bad, covered)
 
 
 def _prime_power_closed_form() -> tuple[bool, str]:
@@ -504,8 +517,7 @@ def _prime_power_closed_form() -> tuple[bool, str]:
         for sigma in range(2, 6)
         if counting.aperiodic_prime_power(p, t, sigma) != counting.count_aperiodic(p**t, sigma)
     ]
-    ok = not bad
-    return ok, "matches the recurrence for all prime powers <= 32, sigma 2..5" if ok else f"failures: {bad}"
+    return _verdict(bad, "matches the recurrence for all prime powers <= 32, sigma 2..5")
 
 
 def _aperiodic_count_bounds() -> tuple[bool, str]:
@@ -517,10 +529,7 @@ def _aperiodic_count_bounds() -> tuple[bool, str]:
                 bad.append(("upper", sigma, j))
             if mu < sigma * (sigma - 1) ** (j - 1):
                 bad.append(("lower", sigma, j))
-    ok = not bad
-    return ok, (
-        "sigma^j - sigma above, sigma(sigma-1)^(j-1) below, sigma 2..6, j 1..20" if ok else f"failures: {bad}"
-    )
+    return _verdict(bad, "sigma^j - sigma above, sigma(sigma-1)^(j-1) below, sigma 2..6, j 1..20")
 
 
 def _growth_bound_caps() -> tuple[bool, str]:
@@ -532,26 +541,18 @@ def _growth_bound_caps() -> tuple[bool, str]:
         for m in range(1, 21):
             if counting.growth_bound_prefix_sum(m, sigma) > (m + 1) * sigma ** (m + 1):
                 bad.append(("prefix", sigma, m))
-    ok = not bad
-    return ok, (
-        "bound <= k*sigma^k and prefix sums <= (m+1)*sigma^(m+1), sigma 2..5, up to 20" if ok else f"failures: {bad}"
-    )
+    return _verdict(bad, "bound <= k*sigma^k and prefix sums <= (m+1)*sigma^(m+1), sigma 2..5, up to 20")
 
 
 def _aperiodic_bruteforce(*, limit: int = 1 << 16) -> tuple[bool, str]:
     """Enumeration against the recurrence for every sigma in (2, 3) and
     every length j with sigma^j <= limit."""
-    bad = []
-    pairs = 0
-    for sigma in (2, 3):
-        j = 1
-        while sigma**j <= limit:
-            pairs += 1
-            if counting.count_aperiodic_bruteforce(j, sigma) != counting.count_aperiodic(j, sigma):
-                bad.append((sigma, j))
-            j += 1
-    ok = not bad
-    return ok, f"enumeration matches the recurrence on {pairs} (sigma, j) pairs" if ok else f"failures: {bad}"
+    pairs = [(sigma, j) for sigma in (2, 3) for j in range(1, limit.bit_length()) if sigma**j <= limit]
+    bad = [
+        (sigma, j) for sigma, j in pairs
+        if counting.count_aperiodic_bruteforce(j, sigma) != counting.count_aperiodic(j, sigma)
+    ]
+    return _verdict(bad, f"enumeration matches the recurrence on {len(pairs)} (sigma, j) pairs")
 
 
 def _growth_count_bound() -> tuple[bool, str]:
@@ -560,47 +561,38 @@ def _growth_count_bound() -> tuple[bool, str]:
     for sigma, k_max, n_max in ((2, 5, 12), (3, 3, 7)):
         pairs, failures = counting.check_growth_bound(sigma, k_max=k_max, n_max=n_max)
         checked += pairs
-        bad += [(sigma, *failure) for failure in failures]
-    ok = not bad
-    return ok, (
-        f"count == bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
-        if ok
-        else f"failures (sigma, kind, n[, k]): {bad[:4]}"
+        bad += [(sigma, *failure) for failure in failures]  # (sigma, kind, n[, k])
+    return _verdict(
+        bad, f"count == bound on {checked} (n, k) pairs; histograms sum to sigma^n and equal growth_counts"
     )
 
 
 def _growth_ground_truth() -> tuple[bool, str]:
-    cases = [("aabccb", 5), ("abcdefabcdab", 8)]
     bad = []
-    for text, expected in cases:
+    for text, expected in (("aabccb", 5), ("abcdefabcdab", 8)):
         s = from_text(text)
-        via_tree = trees.growth_via_tree(s)
-        via_lcp = trees.growth_via_lcp(s)
-        if via_tree != expected or via_lcp != expected:
-            bad.append((text, expected, via_tree, via_lcp))
-    ok = not bad
-    return ok, "growth(aabccb)=5 and growth(abcdefabcdab)=8 by both routes" if ok else f"failures: {bad}"
+        routes = (trees.growth_via_tree(s), trees.growth_via_lcp(s))
+        if routes != (expected, expected):
+            bad.append((text, expected, *routes))
+    return _verdict(bad, "growth(aabccb)=5 and growth(abcdefabcdab)=8 by both routes")
 
 
 def _reference_trees() -> tuple[bool, str]:
     s = from_text("aabccb")
     naive = trees.build_suffix_tree(s)
     compact = trees.build_compact_tree(s)
-    expected_labels = sorted(["c", "b", "a", "b$", "cb$", "ccb$", "$", "bccb$", "abccb$"])
-    same = compact == trees.compact_tree_via_simple(s)
-    ok = (
-        naive.node_count == 25
-        and naive.internal_count == 19
-        and compact.node_count == 10
-        and sorted(compact.edge_labels()) == expected_labels
-        and same
-    )
-    return ok, (
+    labels = sorted(compact.edge_labels())
+    bad = []
+    if (naive.node_count, naive.internal_count, compact.node_count) != (25, 19, 10):
+        bad.append(("nodes", naive.node_count, naive.internal_count, compact.node_count))
+    if labels != sorted(["c", "b", "a", "b$", "cb$", "ccb$", "$", "bccb$", "abccb$"]):
+        bad.append(("labels", labels))
+    if compact != trees.compact_tree_via_simple(s):
+        bad.append(("compact-oracle",))
+    return _verdict(
+        bad,
         "simple tree of aabccb has 25 nodes; compact tree has 10 nodes with the expected labels "
-        "and equals the collapsed simple tree"
-        if ok
-        else f"nodes {naive.node_count}/{compact.node_count}, labels {sorted(compact.edge_labels())}, "
-        f"equals the collapsed simple tree: {same}"
+        "and equals the collapsed simple tree",
     )
 
 
@@ -628,12 +620,10 @@ def _tree_identities(*, sizes: tuple[tuple[int, int], ...] = ((2, 10), (3, 7))) 
                     bad.append(("compact-size", str(s)))
                 if 1 in map(len, compact.children[1:]):  # a unary node below the root
                     bad.append(("compact-degree", str(s)))
-    ok = not bad
-    return ok, (
+    return _verdict(
+        bad,
         f"growth routes agree, node counts match the growth-sum form and compact trees "
-        f"equal the collapsed simple tree on {strings} strings"
-        if ok
-        else f"failures: {bad[:4]}"
+        f"equal the collapsed simple tree on {strings} strings",
     )
 
 
@@ -645,14 +635,11 @@ def _search_vs_scan(
     cut from the string, half random."""
     rng = new_rng(seed)
     bad = []
-    pairs = 0
-    built = 0
     for sigma in (2, 4):
         for _ in range(strings):
             n = int(rng.integers(2, n_max + 1))
             s = random_string(n, sigma, rng)
             tree = trees.build_compact_tree(s)
-            built += 1
             if tree != trees.compact_tree_via_simple(s):
                 bad.append((str(s), "compact-oracle"))
             for _ in range(patterns):
@@ -662,21 +649,19 @@ def _search_vs_scan(
                     pattern = s.sub(start, start + plen - 1)
                 else:
                     pattern = random_string(plen, sigma, rng)
-                pairs += 1
                 if trees.find_occurrences(tree, pattern) != trees.scan_occurrences(s, pattern):
                     bad.append((str(s), str(pattern)))
-    ok = not bad
-    return ok, (
-        f"tree search equals direct scan on {pairs} pairs and the {built} compact trees "
-        f"equal the collapsed simple tree"
-        if ok
-        else f"failures: {bad[:4]}"
+    return _verdict(
+        bad,
+        f"tree search equals direct scan on {2 * strings * patterns} pairs and the {2 * strings} compact trees "
+        f"equal the collapsed simple tree",
     )
 
 
 #: Every check `verify` runs, by name, in the order it prints them. Each
-#: returns (ok, detail); its keyword defaults are the sizes `verify` runs
-#: it at, and callers may pass larger ones.
+#: lists what failed and returns _verdict's (ok, detail): what it covered,
+#: or the count and the first four failures. Its keyword defaults are the
+#: sizes `verify` runs it at, and callers may pass larger ones.
 CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
     "aperiodic-reference-table": _reference_table,
     "prime-power-closed-form": _prime_power_closed_form,

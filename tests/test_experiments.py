@@ -1,4 +1,6 @@
+import ast
 import math
+import re
 import statistics
 import sys
 from fractions import Fraction
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suffixlab import cli, counting, trees
+from suffixlab import cli, counting, experiments, trees
 from suffixlab.experiments import (
     CHECKS,
     _int_mean_stderr,
+    _prepended_growth_sum,
     _quotient_mean_stderr,
     _sqrt_of_ratio,
     exact_expected_growth,
@@ -23,7 +26,7 @@ from suffixlab.experiments import (
     random_string,
     run_verification,
 )
-from suffixlab.strings import Alphabet, Str, enumerate_strings
+from suffixlab.strings import Alphabet, Str, enumerate_strings, growth_of_symbols
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,37 @@ def test_montecarlo_matches_exhaustive_within_three_stderr():
     exact = float(exact_expected_growth(10, 2))
     for row in expected_growth(10, 2, samples=100_000, seed=20240):
         assert abs(row.mean - exact) <= 3 * row.stderr, (row.regime, row.mean, exact)
+
+
+#: (sigma, a tail of symbols from 1..sigma)
+tails = st.integers(1, 9).flatmap(
+    lambda sigma: st.tuples(st.just(sigma), st.lists(st.integers(1, sigma), max_size=12))
+)
+
+
+@given(tails)
+def test_prepended_growth_sum_equals_the_sum_over_every_symbol(case):
+    sigma, tail = case
+    brute = sum(growth_of_symbols([c, *tail]) for c in range(1, sigma + 1))
+    assert _prepended_growth_sum(tail, sigma) == brute
+
+
+def test_prefix_regime_scans_only_the_symbols_its_tail_holds(monkeypatch):
+    # 20 uniform scans, and at most 4 per tail of 4 symbols, whatever sigma;
+    # the count fails at once past that, so a scan of every symbol cannot hang
+    calls = 0
+    real = experiments.growth_of_symbols
+
+    def counted(symbols):
+        nonlocal calls
+        calls += 1
+        if calls > 20 + 20 * 4:
+            pytest.fail("the prefix regime scans symbols its tail does not hold")
+        return real(symbols)
+
+    monkeypatch.setattr(experiments, "growth_of_symbols", counted)
+    expected_growth(5, 10**12, samples=20)
+    assert calls > 20
 
 
 def test_expected_growth_single_symbol_string():
@@ -425,11 +459,22 @@ def _padded_past_2n(tree, s):
 
 TREES = {"sizes": ((2, 5),)}
 
+#: the reference table with its sigma = 3, j = 8 erratum mended, and with
+#: an unexplained sigma = 4, j = 1 cell
+REFERENCE = counting.REFERENCE_APERIODIC_TABLE
+MENDED_TABLE = {**REFERENCE, 3: (*REFERENCE[3][:7], 6480)}
+UNEXPLAINED_TABLE = {**REFERENCE, 4: (5, *REFERENCE[4][1:])}
+
 
 @pytest.mark.parametrize(
     "check,kwargs,patches,fragment",
     [
-        ("aperiodic-count-bounds", {}, [(counting, "count_aperiodic", lambda j, sigma: sigma**j)], "('upper', 2, 2)"),
+        (
+            "aperiodic-count-bounds",
+            {},
+            [(counting, "count_aperiodic", lambda j, sigma: sigma**j)],
+            "95 failures: [('upper', 2, 2), ('upper', 2, 3), ('upper', 2, 4), ('upper', 2, 5)]",
+        ),
         ("aperiodic-count-bounds", {}, [(counting, "count_aperiodic", lambda j, sigma: 0)], "('lower', 2, 1)"),
         ("growth-bound-caps", {}, [(counting, "growth_bound", lambda k, sigma: k * sigma**k + 1)], "('cap', 2, 1)"),
         (
@@ -450,9 +495,27 @@ TREES = {"sizes": ((2, 5),)}
             [(counting, "growth_histogram", _changed(counting, "growth_histogram", lambda h, n, sigma: {**h, n: h[n] + 1}))],
             "(2, 'partition', 2)",
         ),
+        (
+            "aperiodic-reference-table",
+            {},
+            [(counting, "REFERENCE_APERIODIC_TABLE", MENDED_TABLE)],
+            "2 failures: [('matches', 3, 8), ('shape',)]",
+        ),
+        (
+            "aperiodic-reference-table",
+            {},
+            [(counting, "REFERENCE_APERIODIC_TABLE", UNEXPLAINED_TABLE)],
+            "1 failure: [('unexplained', 4, 1)]",
+        ),
+        (
+            "prime-power-closed-form",
+            {},
+            _plus_one(counting, "aperiodic_prime_power"),
+            "72 failures: [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5)]",
+        ),
     ],
     ids=["upper", "lower", "cap", "prefix", "bruteforce", "ground-truth", "growth", "identity",
-         "compact-degree", "compact-size", "partition"],
+         "compact-degree", "compact-size", "partition", "errata-match", "unexplained", "prime-power"],
 )
 def test_verification_detects_each_failure(check, kwargs, patches, fragment, monkeypatch):
     # each case breaks one quantity the check reads, at small sizes
@@ -460,7 +523,10 @@ def test_verification_detects_each_failure(check, kwargs, patches, fragment, mon
         monkeypatch.setattr(module, name, value)
     ok, detail = CHECKS[check](**kwargs)
     assert ok is False
-    assert fragment in detail, detail
+    # a fragment that starts with the count of failures is the whole detail
+    assert detail == fragment if fragment[0].isdigit() else fragment in detail, detail
+    count, listed = re.fullmatch(r"(\d+) failures?: (\[.*\])", detail).groups()
+    assert len(ast.literal_eval(listed)) == min(int(count), 4), detail
 
 
 def test_verification_detects_a_wrong_compact_tree(monkeypatch):
